@@ -144,12 +144,9 @@ int main(int Argc, char **Argv) {
                 static_cast<long long>(C.Pipeline.PhaseMicros[I]));
   std::printf("  %-28s %6lld us\n", "total",
               static_cast<long long>(C.Pipeline.totalMicros()));
-  std::printf("shortest-path matrix cache: %d hits, %d misses over %d "
-              "fixpoint iterations\n",
-              C.Pipeline.SpCacheHits, C.Pipeline.SpCacheMisses,
-              C.Pipeline.FixpointIterations);
-  std::printf("fixpoint scheduling: %lld pass bodies run, %lld skipped by "
-              "the invalidation matrix, %d quiescent rounds\n",
+  std::printf("fixpoint scheduling: %d rounds, %lld pass bodies run, %lld "
+              "skipped by the invalidation matrix, %d quiescent rounds\n",
+              C.Pipeline.FixpointIterations,
               static_cast<long long>(C.Pipeline.FixpointPassesRun),
               static_cast<long long>(C.Pipeline.FixpointPassesSkipped),
               C.Pipeline.QuiescentRounds);

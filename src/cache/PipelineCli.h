@@ -7,11 +7,11 @@
 ///
 /// \file
 /// The throughput counterpart of obs::ObsCli: every example and bench
-/// binary exposes the same two pipeline-speed flags, and this header is the
+/// binary exposes the same pipeline-speed flags, and this header is the
 /// one place that parses them and owns the resulting cache:
 ///
 ///   --jobs=N              optimize N functions concurrently
-///                         (N=0 or omitted value = hardware concurrency;
+///                         (N=0 or bare --jobs = hardware concurrency;
 ///                         binaries default to hardware concurrency, the
 ///                         library's PipelineOptions default stays serial)
 ///   --pipeline-cache=DIR  persist optimized function bodies under DIR and
@@ -20,18 +20,18 @@
 ///   --cache-budget=BYTES  bound the on-disk store: past the budget, entry
 ///                         files are evicted oldest-mtime-first (K/M/G
 ///                         suffixes accepted; 0 = unbounded, the default)
-///   --no-analysis-cache   recompute every CFG/dataflow analysis at every
-///                         query instead of serving it from the per-function
-///                         AnalysisManager (the always-recompute oracle)
-///   --no-fused-sweep      schedule local CSE, dead variable elimination,
-///                         branch chaining and constant folding as four
-///                         individual fixpoint slots instead of the fused
-///                         sweep (the fusion byte-identity oracle)
+///
+/// A malformed value (--jobs=abc, --jobs=-3, --cache-budget=64X, a budget
+/// whose suffix overflows) prints a message naming the flag and exits 2,
+/// like --verify= does, instead of silently compiling with a different
+/// configuration.
 ///
 /// Usage mirrors ObsCli: call consume() on each argv entry (true = it was
 /// one of these flags), then apply() on the PipelineOptions the binary is
 /// about to compile with. Output is byte-identical at any flag value - the
-/// flags only change how fast it is produced.
+/// flags only change how fast it is produced. (The paper-literal reference
+/// pipeline, PipelineOptions::Reference, has no flag: it is an oracle for
+/// tests and the bench_compile baseline, which set the field directly.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,11 @@
 
 #include "cache/CompileCache.h"
 #include "opt/Pipeline.h"
+#include "support/Format.h"
 
+#include <climits>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -54,9 +58,10 @@ public:
   /// Returns true when \p Arg was one of the pipeline-speed flags.
   bool consume(const std::string &Arg) {
     if (Arg.rfind("--jobs=", 0) == 0) {
-      Jobs = std::atoi(Arg.c_str() + 7);
-      if (Jobs < 0)
-        Jobs = 0;
+      uint64_t N = 0;
+      if (!parseDecimal(Arg.c_str() + 7, N) || N > INT_MAX)
+        fail(Arg);
+      Jobs = static_cast<int>(N);
       return true;
     }
     if (Arg == "--jobs") { // bare form: use every core
@@ -74,15 +79,8 @@ public:
       return true;
     }
     if (Arg.rfind("--cache-budget=", 0) == 0) {
-      Budget = parseBytes(Arg.c_str() + 15);
-      return true;
-    }
-    if (Arg == "--no-analysis-cache") {
-      CacheAnalyses = false;
-      return true;
-    }
-    if (Arg == "--no-fused-sweep") {
-      FusedSweep = false;
+      if (!parseBytes(Arg.c_str() + 15, Budget))
+        fail(Arg);
       return true;
     }
     return false;
@@ -92,8 +90,6 @@ public:
   /// first use so repeated apply() calls share one store).
   void apply(opt::PipelineOptions &Options) {
     Options.Jobs = Jobs;
-    Options.CacheAnalyses = CacheAnalyses;
-    Options.FusedLocalSweep = FusedSweep;
     if (WantCache && !Cache)
       Cache = std::make_unique<PipelineCache>(CacheDir, /*MaxEntries=*/1024,
                                               Budget);
@@ -109,29 +105,41 @@ public:
 
   /// One usage line describing the flags, for --help texts.
   static const char *usage() {
-    return "[--jobs=N] [--pipeline-cache[=DIR]] [--cache-budget=BYTES] "
-           "[--no-analysis-cache] [--no-fused-sweep]";
+    return "[--jobs=N] [--pipeline-cache[=DIR]] [--cache-budget=BYTES]";
   }
 
 private:
-  /// "4096", "64K", "8M", "1G" (case-insensitive suffix) -> bytes.
-  static int64_t parseBytes(const char *S) {
-    char *End = nullptr;
-    long long V = std::strtoll(S, &End, 10);
-    if (End == S || V < 0)
-      return 0;
-    switch (*End) {
-    case 'k': case 'K': V <<= 10; break;
-    case 'm': case 'M': V <<= 20; break;
-    case 'g': case 'G': V <<= 30; break;
-    default: break;
+  [[noreturn]] static void fail(const std::string &Arg) {
+    std::fprintf(stderr, "bad %s value: %s\n",
+                 Arg.substr(0, Arg.find('=')).c_str(),
+                 Arg.c_str() + Arg.find('=') + 1);
+    std::exit(2);
+  }
+
+  /// "4096", "64K", "8M", "1G" (case-insensitive suffix) -> bytes; false
+  /// on a bad number, an unknown suffix or an overflowing shift.
+  static bool parseBytes(const char *S, int64_t &Out) {
+    std::string Digits(S);
+    int Shift = 0;
+    if (!Digits.empty()) {
+      switch (Digits.back()) {
+      case 'k': case 'K': Shift = 10; break;
+      case 'm': case 'M': Shift = 20; break;
+      case 'g': case 'G': Shift = 30; break;
+      default: break;
+      }
+      if (Shift)
+        Digits.pop_back();
     }
-    return static_cast<int64_t>(V);
+    uint64_t V = 0;
+    const uint64_t Max = static_cast<uint64_t>(INT64_MAX) >> Shift;
+    if (!parseDecimal(Digits.c_str(), V) || V > Max)
+      return false;
+    Out = static_cast<int64_t>(V) << Shift;
+    return true;
   }
 
   int Jobs = 0; ///< 0 = hardware concurrency
-  bool CacheAnalyses = true;
-  bool FusedSweep = true;
   bool WantCache = false;
   int64_t Budget = 0; ///< on-disk size bound; 0 = unbounded
   std::string CacheDir;

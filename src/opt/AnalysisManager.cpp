@@ -18,8 +18,6 @@ const char *opt::analysisName(AnalysisID ID) {
     return "loops";
   case AnalysisID::Liveness:
     return "liveness";
-  case AnalysisID::ShortestPaths:
-    return "shortest_paths";
   }
   CODEREP_UNREACHABLE("bad analysis id");
 }
@@ -57,9 +55,7 @@ AnalysisCounters &AnalysisCounters::operator+=(const AnalysisCounters &O) {
 AnalysisManager::AnalysisManager(cfg::Function &F, bool CacheEnabled,
                                  obs::TraceSink *Trace)
     : FRef(F), Shape(F, CacheEnabled), Trace(Trace),
-      Owner(std::this_thread::get_id()), CacheEnabled(CacheEnabled) {
-  SpCache.setTrace(Trace);
-}
+      Owner(std::this_thread::get_id()), CacheEnabled(CacheEnabled) {}
 
 void AnalysisManager::checkThread() const {
   CODEREP_CHECK(std::this_thread::get_id() == Owner,
@@ -141,13 +137,6 @@ void AnalysisManager::commit(uint64_t BeforeEpoch,
       ++LiveInvalidations;
     }
   }
-  // The shortest-path matrix is additionally fingerprint-validated on
-  // every reuse, so preserving it here is always sound; an explicit
-  // abandon still drops the held matrix eagerly.
-  if (!PA.preserved(AnalysisID::ShortestPaths) && SpCache.holdsMatrix()) {
-    SpCache.invalidate();
-    ++SpInvalidations;
-  }
 }
 
 AnalysisCounters AnalysisManager::counters() const {
@@ -162,9 +151,5 @@ AnalysisCounters AnalysisManager::counters() const {
   C.Hits[L] = LiveHits;
   C.Recomputes[L] = LiveRecomputes;
   C.Invalidations[L] = LiveInvalidations;
-  const int P = static_cast<int>(AnalysisID::ShortestPaths);
-  C.Hits[P] = SpCache.hits();
-  C.Recomputes[P] = SpCache.misses();
-  C.Invalidations[P] = SpInvalidations;
   return C;
 }

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-function analysis registry of the optimization pipeline. PR 3
-/// made *pass* scheduling change-driven; this layer does the same for the
-/// *analyses* inside the passes: FlatCfg, dominators, natural loops,
-/// liveness and the replication shortest-path matrix are computed lazily,
-/// cached, and invalidated by what each pass declares it preserved.
+/// The per-function analysis registry of the optimization pipeline. The
+/// pass scheduler is change-driven; this layer does the same for the
+/// *analyses* inside the passes: FlatCfg, dominators, natural loops and
+/// liveness are computed lazily, cached, and invalidated by what each pass
+/// declares it preserved. (The replication shortest-path matrix is not
+/// among them: JUMPS builds one per round, see replicate/ShortestPaths.h.)
 ///
 /// Validity is keyed on cfg::Function::analysisEpoch(), a counter every
 /// mutation path bumps (block-list mutators automatically, in-place RTL
@@ -36,8 +37,8 @@
 /// The CFG-shape half (FlatCfg/dominators/loops) lives in
 /// cfg::AnalysisCache so the replication passes, which sit below the opt
 /// library, share the same entries; this class layers the dataflow slot
-/// (Liveness), the replicate::ShortestPathsCache, the preserved-analyses
-/// commit protocol, unified counters, and trace spans on top.
+/// (Liveness), the preserved-analyses commit protocol, unified counters,
+/// and trace spans on top.
 ///
 /// A manager is strictly single-threaded state: the parallel driver builds
 /// one per function task, and every query asserts it stayed on the thread
@@ -51,7 +52,6 @@
 #include "cfg/AnalysisCache.h"
 #include "obs/Trace.h"
 #include "opt/Liveness.h"
-#include "replicate/ShortestPaths.h"
 
 #include <cstdint>
 #include <memory>
@@ -66,9 +66,8 @@ enum class AnalysisID {
   Dominators,
   Loops,
   Liveness,
-  ShortestPaths,
 };
-inline constexpr int NumAnalysisIDs = 5;
+inline constexpr int NumAnalysisIDs = 4;
 
 /// Stable printable name, e.g. "liveness".
 const char *analysisName(AnalysisID ID);
@@ -94,15 +93,12 @@ public:
   /// The flow-graph-shape analyses survive, dataflow is dropped: the set
   /// for passes that rewrite or delete plain computations inside blocks
   /// but never touch a transfer, create or remove a block, or retarget an
-  /// edge. (ShortestPaths is included: it is additionally self-validating
-  /// against a structural fingerprint on every reuse, see
-  /// replicate::ShortestPathsCache.)
+  /// edge.
   static PreservedAnalyses cfgShape() {
     return none()
         .preserve(AnalysisID::FlatCfg)
         .preserve(AnalysisID::Dominators)
-        .preserve(AnalysisID::Loops)
-        .preserve(AnalysisID::ShortestPaths);
+        .preserve(AnalysisID::Loops);
   }
 
   PreservedAnalyses &preserve(AnalysisID ID) {
@@ -122,10 +118,7 @@ private:
   uint8_t Mask = 0;
 };
 
-/// Per-analysis query/invalidation accounting, indexed by AnalysisID. For
-/// ShortestPaths, Hits/Recomputes mirror the fingerprint cache's
-/// hits/misses and Invalidations counts explicit abandons of a held
-/// matrix.
+/// Per-analysis query/invalidation accounting, indexed by AnalysisID.
 struct AnalysisCounters {
   int64_t Hits[NumAnalysisIDs] = {};
   int64_t Recomputes[NumAnalysisIDs] = {};
@@ -140,9 +133,8 @@ struct AnalysisCounters {
 class AnalysisManager {
 public:
   /// \p CacheEnabled = false degrades every query to a fresh computation
-  /// (the always-recompute oracle; PipelineOptions::CacheAnalyses). \p
-  /// Trace, when given, receives a span per analysis recomputation and is
-  /// forwarded to the shortest-path cache.
+  /// (the always-recompute half of PipelineOptions::Reference). \p Trace,
+  /// when given, receives a span per analysis recomputation.
   explicit AnalysisManager(cfg::Function &F, bool CacheEnabled = true,
                            obs::TraceSink *Trace = nullptr);
 
@@ -156,10 +148,6 @@ public:
   /// JUMPS/LOOPS rounds reuse (and refresh) the same dominator/loop
   /// entries as the optimizer's passes.
   cfg::AnalysisCache &shapeCache() { return Shape; }
-
-  /// The cross-round shortest-path matrix cache (owned here so one matrix
-  /// serves every replication invocation of the fixpoint loop).
-  replicate::ShortestPathsCache &shortestPaths() { return SpCache; }
 
   /// Lazy cached queries. References are valid until the next query or
   /// mutation; the *Shared variants pin a result across those.
@@ -182,7 +170,7 @@ public:
   /// equivalent to commit(epoch(), PA).
   void noteEdit(const PreservedAnalyses &PA) { commit(epoch(), PA); }
 
-  /// Unified counters over the shape cache, liveness and shortest paths.
+  /// Unified counters over the shape cache and liveness.
   AnalysisCounters counters() const;
 
 private:
@@ -190,7 +178,6 @@ private:
 
   cfg::Function &FRef;
   cfg::AnalysisCache Shape;
-  replicate::ShortestPathsCache SpCache;
   obs::TraceSink *Trace;
   std::thread::id Owner;
 
@@ -200,7 +187,6 @@ private:
   int64_t LiveHits = 0;
   int64_t LiveRecomputes = 0;
   int64_t LiveInvalidations = 0;
-  int64_t SpInvalidations = 0;
 };
 
 } // namespace coderep::opt

@@ -147,8 +147,6 @@ public:
   PassResult run(Function &F, AnalysisManager &) override {
     PassResult R;
     R.Changed = runBlockReorder(F);
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
     return R;
   }
 };
@@ -159,8 +157,6 @@ public:
   PassResult run(Function &F, AnalysisManager &) override {
     PassResult R;
     R.Changed = runMergeFallthroughs(F);
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
     return R;
   }
 };

@@ -132,8 +132,6 @@ public:
   PassResult run(Function &F, AnalysisManager &) override {
     PassResult R;
     R.Changed = runBranchChaining(F);
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
     return R;
   }
 };
@@ -144,8 +142,6 @@ public:
   PassResult run(Function &F, AnalysisManager &) override {
     PassResult R;
     R.Changed = runUnreachableElim(F);
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
     return R;
   }
 };

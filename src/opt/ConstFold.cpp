@@ -119,11 +119,7 @@ public:
     // Folding a comparison of constants rewrites the conditional branch
     // into a jump (or deletes it), changing edges, so a change preserves
     // no shape or dataflow result. (The common all-ALU case could keep
-    // shape, but the pass does not distinguish its changes.) The
-    // shortest-path matrix stays marked preserved: it is
-    // fingerprint-revalidated on every reuse.
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
+    // shape, but the pass does not distinguish its changes.)
     return R;
   }
 };

@@ -51,7 +51,7 @@ struct ExprKeyHash {
 /// here is ever iterated - so the layout cannot perturb decisions, and
 /// the extended-basic-block inheritance copy (one per single-pred block)
 /// is a handful of memcpys instead of a node-by-node tree clone. This
-/// table sits on the hottest path of the fused local sweep.
+/// table sits on the hottest path of the fixpoint loop.
 struct ValueTable {
   std::vector<int> RegVN;    ///< register -> value number (-1 = none)
   std::unordered_map<ExprKey, int, ExprKeyHash>
@@ -401,10 +401,7 @@ public:
     R.Changed = runLocalCse(F, T, AM);
     // Constant propagation folds conditional branches into jumps (or
     // deletes them), changing edges, so a change preserves no shape or
-    // dataflow result. The shortest-path matrix stays marked preserved:
-    // it is fingerprint-revalidated on every reuse.
-    R.Preserved =
-        PreservedAnalyses::none().preserve(AnalysisID::ShortestPaths);
+    // dataflow result (the PassResult default).
     return R;
   }
 

@@ -83,17 +83,6 @@ std::unique_ptr<Pass> createCodeMotionPass();
 std::unique_ptr<Pass> createStrengthReductionPass();
 std::unique_ptr<Pass> createConstantFoldingPass();
 
-/// The two segments of the fused register-level sweep, matching where its
-/// sub-passes sit in the Figure-3 round (they are not adjacent there -
-/// code motion, strength reduction and instruction selection run in
-/// between - and the passes are not confluent, so fusing across that gap
-/// would change output bytes; see FusedLocalSweep.cpp).
-enum class FusedSegment {
-  CseDeadVars,          ///< local CSE, then dead variable elimination
-  BranchChainConstFold, ///< branch chaining, then constant folding
-};
-std::unique_ptr<Pass> createFusedLocalSweepPass(const target::Target &T,
-                                                FusedSegment Segment);
 std::unique_ptr<Pass> createRegisterAllocationPass(const target::Target &T);
 std::unique_ptr<Pass> createDelaySlotFillingPass(int *NopsOut = nullptr);
 
@@ -153,14 +142,6 @@ bool runCodeMotion(cfg::Function &F, AnalysisManager &AM);
 /// \p AM form serves loop info from the manager's cache.
 bool runStrengthReduction(cfg::Function &F);
 bool runStrengthReduction(cfg::Function &F, AnalysisManager &AM);
-
-/// The fused register-level sweep (PipelineOptions::FusedLocalSweep): runs
-/// one segment's sub-passes back to back as a single schedulable unit,
-/// committing each changed sub-step's exact preserved-set to \p AM.
-/// Byte-identical to scheduling the passes individually (the
-/// --no-fused-sweep oracle).
-bool runFusedLocalSweep(cfg::Function &F, const target::Target &T,
-                        AnalysisManager &AM, FusedSegment Segment);
 
 /// Register assignment (Figure 3): promotes the word-sized scalar locals
 /// and parameters whose address is never taken (Function::PromotableLocals)

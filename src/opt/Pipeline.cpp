@@ -5,7 +5,6 @@
 #include "obs/Journal.h"
 #include "obs/ScopedTimer.h"
 #include "opt/Pass.h"
-#include "replicate/ShortestPaths.h"
 #include "support/Check.h"
 #include "support/Format.h"
 #include "support/ThreadPool.h"
@@ -75,8 +74,6 @@ PipelineStats &PipelineStats::operator+=(const PipelineStats &Other) {
   Replication += Other.Replication;
   FixpointIterations += Other.FixpointIterations;
   DelaySlotNops += Other.DelaySlotNops;
-  SpCacheHits += Other.SpCacheHits;
-  SpCacheMisses += Other.SpCacheMisses;
   FixpointPassesRun += Other.FixpointPassesRun;
   FixpointPassesSkipped += Other.FixpointPassesSkipped;
   QuiescentRounds += Other.QuiescentRounds;
@@ -191,7 +188,7 @@ constexpr uint16_t AllFixpointPasses = fpBit(NumFixpointPasses) - 1;
 /// The matrix is deliberately conservative: everything invalidates
 /// everything unless there is a structural argument to the contrary, and
 /// the scheduled loop is differentially tested against the
-/// rerun-everything loop (ChangeDrivenScheduling = false) over the whole
+/// rerun-everything loop (PipelineOptions::Reference) over the whole
 /// benchmark suite and hundreds of random programs. The argued exceptions:
 ///
 ///  * Dead variable elimination, strength reduction and instruction
@@ -239,8 +236,7 @@ static bool runReplication(Function &F, const PipelineOptions &Options,
                                &AM.shapeCache(),
                                Options.Replication.Validator);
   case OptLevel::Jumps:
-    return replicate::runJumps(F, Options.Replication, S, &AM.shortestPaths(),
-                               &AM.shapeCache());
+    return replicate::runJumps(F, Options.Replication, S, &AM.shapeCache());
   }
   CODEREP_UNREACHABLE("bad optimization level");
 }
@@ -310,11 +306,8 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   int CurRound = 0;
 
   // The analysis registry for this function: every pass queries its
-  // analyses here, and its shortest-path cache carries the step-1 matrix
-  // from one replication invocation to the next (the fixpoint loop's later
-  // iterations usually change nothing, so their replication calls
-  // revalidate and reuse it).
-  AnalysisManager AM(F, Options.CacheAnalyses, EvSink);
+  // analyses here. The reference pipeline recomputes at every query.
+  AnalysisManager AM(F, !Options.Reference, EvSink);
 
   // The pass instances (stateless apart from configuration).
   std::unique_ptr<Pass> BranchChain = createBranchChainingPass();
@@ -328,10 +321,6 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   std::unique_ptr<Pass> Motion = createCodeMotionPass();
   std::unique_ptr<Pass> Strength = createStrengthReductionPass();
   std::unique_ptr<Pass> Fold = createConstantFoldingPass();
-  std::unique_ptr<Pass> FusedHead =
-      createFusedLocalSweepPass(T, FusedSegment::CseDeadVars);
-  std::unique_ptr<Pass> FusedTail =
-      createFusedLocalSweepPass(T, FusedSegment::BranchChainConstFold);
   std::unique_ptr<Pass> RegAlloc = createRegisterAllocationPass(T);
 
   // Per-phase pass-latency histograms, function-local (see PassRunner);
@@ -359,14 +348,11 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
 
   // The commit protocol: record the epoch, run the pass, and on a change
   // let the manager keep exactly the analyses the pass vouched for.
-  // \p FoldPoint marks the fused tail segment, whose last sub-pass is the
-  // constant-folding body - the mutation self-check injects there so it
-  // keeps working under either scheduling of the four register passes.
-  auto runPass = [&](Phase Ph, Pass &P, bool FoldPoint = false) {
+  auto runPass = [&](Phase Ph, Pass &P) {
     return run(Ph, [&] {
       const uint64_t Before = F.analysisEpoch();
       PassResult R = P.run(F, AM);
-      if ((Ph == Phase::ConstantFolding || FoldPoint) && injectMutation()) {
+      if (Ph == Phase::ConstantFolding && injectMutation()) {
         R.Changed = true;
         R.Preserved = PreservedAnalyses::none();
       }
@@ -383,8 +369,7 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
       const uint64_t Before = F.analysisEpoch();
       bool Changed = runReplication(F, Options, Stats, AM);
       if (Changed)
-        AM.commit(Before, PreservedAnalyses::none().preserve(
-                              AnalysisID::ShortestPaths));
+        AM.commit(Before, PreservedAnalyses::none());
       if (VS)
         VS->afterPass(Phase::Replication, CurRound, F, Changed);
       return Changed;
@@ -408,28 +393,11 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   if (runPass(Phase::RegisterAssignment, *RegAssign))
     runPass(Phase::InstructionSelection, *InsnSel);
 
-  // The fixpoint loop of Figure 3. One lambda per slot, in loop order, so
-  // the scheduled and rerun-everything drivers below execute identical
-  // bodies.
-  // With the fused sweep enabled, the FpLocalCse slot runs the head
-  // segment (CSE + dead variables), the FpBranchChain slot runs the tail
-  // segment (branch chaining + constant folding), and the two subsumed
-  // slots never run (or count) at all; their dirty bits are masked out of
-  // the scheduler below. The matrix rows stay valid because every row
-  // raises the bits {LocalCse, DeadVars, BranchChain, ConstFold} together
-  // - a segment's slot bit is set exactly when both of its sub-passes'
-  // bits would be, so the segment runs its two bodies at exactly the
-  // points the unfused scheduler runs them.
-  const uint16_t SubsumedByFused =
-      Options.FusedLocalSweep
-          ? static_cast<uint16_t>(fpBit(FpDeadVars) | fpBit(FpConstFold))
-          : 0;
+  // The fixpoint loop of Figure 3, one slot per pass in loop order.
   auto runFixpointPass = [&](int P) -> bool {
     switch (P) {
     case FpLocalCse:
-      return Options.FusedLocalSweep
-                 ? runPass(Phase::FusedLocalSweep, *FusedHead)
-                 : runPass(Phase::LocalCse, *Cse);
+      return runPass(Phase::LocalCse, *Cse);
     case FpDeadVars:
       return runPass(Phase::DeadVariableElim, *DeadVars);
     case FpCodeMotion:
@@ -439,10 +407,7 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
     case FpInsnSelect:
       return runPass(Phase::InstructionSelection, *InsnSel);
     case FpBranchChain:
-      return Options.FusedLocalSweep
-                 ? runPass(Phase::FusedLocalSweep, *FusedTail,
-                           /*FoldPoint=*/true)
-                 : runPass(Phase::BranchChaining, *BranchChain);
+      return runPass(Phase::BranchChaining, *BranchChain);
     case FpConstFold:
       return runPass(Phase::ConstantFolding, *Fold);
     case FpReplicate:
@@ -463,74 +428,47 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   if (Stats)
     for (int I = 0; I < NumPhases; ++I)
       LoopBase[I] = Stats->PhaseMicros[I];
-  if (Options.ChangeDrivenScheduling) {
-    // Change-driven scheduling: a pass body runs only while its dirty bit
-    // is set; a change raises the dirty bits of every pass it can perturb
-    // (see the Invalidates matrix above). Skipping a clean pass is
-    // equivalent to the legacy loop running it and seeing "no change", so
-    // the function evolves through byte-identical states. Both drivers
-    // execute the same number of rounds (every Invalidates row contains a
-    // bit at or below its own slot, so a change always survives to the
-    // round end, forcing the next round exactly when the legacy loop
-    // reruns); the entire saving is the per-round skips, and in the final
-    // all-clean verification round - where the legacy loop burns the full
-    // battery to discover convergence - the scheduler executes only the
-    // handful of passes the last change could have perturbed.
-    uint16_t Dirty = AllFixpointPasses & static_cast<uint16_t>(~SubsumedByFused);
-    while (Dirty && Iter++ < Options.MaxFixpointIterations) {
-      obs::ScopedTimer IterSpan(
-          EvSink, "fixpoint round", nullptr,
-          EvSink ? format("\"function\": \"%s\", \"round\": %d",
-                          F.Name.c_str(), Iter)
-                 : std::string());
-      CurRound = Iter;
-      for (int P = 0; P < NumFixpointPasses; ++P) {
-        if (SubsumedByFused & fpBit(P))
-          continue; // body runs inside the fused slot; not a skip
-        if (!(Dirty & fpBit(P))) {
-          if (Stats)
-            ++Stats->FixpointPassesSkipped;
-          continue;
-        }
-        Dirty = static_cast<uint16_t>(Dirty & ~fpBit(P));
+  // Change-driven scheduling: a pass body runs only while its dirty bit is
+  // set; a change raises the dirty bits of every pass it can perturb (see
+  // the Invalidates matrix above). Skipping a clean pass is equivalent to
+  // running it and seeing "no change", so the function evolves through
+  // byte-identical states. The reference pipeline runs every slot and lets
+  // any change re-dirty all of them: the paper's "rerun the battery while
+  // anything changes". Both execute the same number of rounds (every
+  // Invalidates row contains a bit at or below its own slot, so a change
+  // always survives to the round end); the entire saving is the per-round
+  // skips, and in the final all-clean verification round the scheduler
+  // executes only the handful of passes the last change could have
+  // perturbed.
+  uint16_t Dirty = AllFixpointPasses;
+  while (Dirty && Iter++ < Options.MaxFixpointIterations) {
+    obs::ScopedTimer IterSpan(
+        EvSink, "fixpoint round", nullptr,
+        EvSink ? format("\"function\": \"%s\", \"round\": %d",
+                        F.Name.c_str(), Iter)
+               : std::string());
+    CurRound = Iter;
+    for (int P = 0; P < NumFixpointPasses; ++P) {
+      if (!Options.Reference && !(Dirty & fpBit(P))) {
         if (Stats)
-          ++Stats->FixpointPassesRun;
-        if (runFixpointPass(P))
-          Dirty |= static_cast<uint16_t>(Invalidates[P] & ~SubsumedByFused);
+          ++Stats->FixpointPassesSkipped;
+        continue;
       }
-      F.verify();
-      if (VS)
-        VS->endRound(Iter, F);
+      Dirty = static_cast<uint16_t>(Dirty & ~fpBit(P));
+      if (Stats)
+        ++Stats->FixpointPassesRun;
+      if (runFixpointPass(P))
+        Dirty |= Options.Reference ? AllFixpointPasses : Invalidates[P];
     }
-    // An empty dirty set means the loop converged: its last round ran
-    // only the still-dirty passes and all of them came back clean (the
-    // cap-exit case leaves bits set and counts no quiescent round).
-    if (!Dirty && Stats)
-      ++Stats->QuiescentRounds;
-  } else {
-    // The paper-literal loop: rerun the whole battery while anything
-    // changes. Kept as the differential-testing oracle for the scheduler.
-    bool Changed = true;
-    while (Changed && Iter++ < Options.MaxFixpointIterations) {
-      Changed = false;
-      obs::ScopedTimer IterSpan(
-          EvSink, "fixpoint round", nullptr,
-          EvSink ? format("\"function\": \"%s\", \"round\": %d",
-                          F.Name.c_str(), Iter)
-                 : std::string());
-      CurRound = Iter;
-      for (int P = 0; P < NumFixpointPasses; ++P) {
-        if (SubsumedByFused & fpBit(P))
-          continue; // body runs inside the fused slot
-        if (Stats)
-          ++Stats->FixpointPassesRun;
-        Changed |= runFixpointPass(P);
-      }
-      F.verify();
-      if (VS)
-        VS->endRound(Iter, F);
-    }
+    F.verify();
+    if (VS)
+      VS->endRound(Iter, F);
   }
+  // An empty dirty set means the loop converged: its last round ran only
+  // the still-dirty passes and all of them came back clean (the cap-exit
+  // case leaves bits set and counts no quiescent round).
+  if (!Dirty && Stats)
+    ++Stats->QuiescentRounds;
   if (Stats) {
     Stats->FixpointIterations += Iter;
     for (int I = 0; I < NumPhases; ++I)
@@ -555,11 +493,8 @@ void opt::optimizeFunction(Function &F, const target::Target &T,
   if (VS)
     VS->endFunction(F);
 
-  if (Stats) {
-    Stats->SpCacheHits += AM.shortestPaths().hits();
-    Stats->SpCacheMisses += AM.shortestPaths().misses();
+  if (Stats)
     Stats->Analysis += AM.counters();
-  }
 
   int64_t FnUs = 0;
   if (Sink || JR)

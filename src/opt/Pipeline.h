@@ -28,10 +28,14 @@
 /// registers, so the measured quantities are unaffected.
 ///
 /// Compile-throughput engineering (all byte-identical to the literal
-/// loop, differentially tested against it):
+/// pipeline, PipelineOptions::Reference, and differentially tested
+/// against it):
 ///  * the fixpoint battery is scheduled by a pass-invalidation matrix with
 ///    per-pass dirty bits, so passes whose inputs no prior change could
 ///    have perturbed are skipped instead of rerun (DESIGN.md section 10);
+///  * analyses are cached per function and invalidated by what each pass
+///    preserved (DESIGN.md section 11), and JUMPS fills its step-1 matrix
+///    lazily, one Dijkstra row per queried source;
 ///  * optimizeProgram fans independent functions out over a thread pool
 ///    (PipelineOptions::Jobs) with per-task stats merged deterministically;
 ///  * optimized bodies can be memoized in a content-addressed
@@ -182,38 +186,16 @@ struct PipelineOptions {
   /// in function order so they are deterministic too.
   int Jobs = 1;
 
-  /// Schedule fixpoint passes with the pass-invalidation matrix and
-  /// per-pass dirty bits (see DESIGN.md section 10): a pass body runs only
-  /// when some pass that can perturb its input changed the function since
-  /// it last ran clean. false reruns the whole battery every round, which
-  /// is the paper-literal Figure-3 loop and the oracle the scheduled
-  /// pipeline is differentially tested against - output is byte-identical
-  /// either way.
-  bool ChangeDrivenScheduling = true;
-
-  /// Run the four cheap register-level fixpoint passes (local CSE, dead
-  /// variable elimination, branch chaining, constant folding) as two
-  /// FusedLocalSweep segments - one per adjacent pair in the Figure-3
-  /// round - instead of four separately scheduled slots. A segment
-  /// executes the same pass bodies back to back at exactly the points
-  /// the unfused scheduler runs them (their dirty bits move in lockstep,
-  /// see Pipeline.cpp), halving the pass dispatches (timer, commit,
-  /// verifier checkpoint, dirty-bit bookkeeping) those passes pay per
-  /// round. false schedules the individual passes, which is the
-  /// byte-identity oracle the fused sweep is differentially tested
-  /// against (see tests/FusedSweepTest.cpp) - output is byte-identical
-  /// either way, so like ChangeDrivenScheduling this is a non-semantic
-  /// option that is NOT folded into FunctionOptimizationCache keys.
-  bool FusedLocalSweep = true;
-
-  /// Serve CFG/dataflow analyses from the per-function AnalysisManager,
-  /// invalidated by what each pass declares it preserved (DESIGN.md
-  /// section 11). false recomputes every analysis at every query, which is
-  /// the oracle the cached pipeline is differentially tested against -
-  /// output is byte-identical either way, so (like Jobs and
-  /// ChangeDrivenScheduling) this is a non-semantic option that is NOT
-  /// folded into FunctionOptimizationCache content keys.
-  bool CacheAnalyses = true;
+  /// Run the paper-literal pipeline: every fixpoint pass reruns in every
+  /// round (no invalidation-matrix skips), every analysis is recomputed at
+  /// each query (no AnalysisManager cache), and each JUMPS round builds the
+  /// dense Warshall/Floyd step-1 matrix (no lazy rows; functions over 512
+  /// blocks keep the lazy rows, see replicate::runJumps). This is the
+  /// byte-identity oracle the default pipeline is differentially tested
+  /// against and the baseline bench_compile measures it by. Output is
+  /// byte-identical either way, so like Jobs it is NOT folded into
+  /// FunctionOptimizationCache content keys.
+  bool Reference = false;
 
   /// When set, optimizeProgram memoizes optimized function bodies keyed by
   /// (post-legalize RTL, target, options) content. Not owned. Hits bypass
@@ -260,7 +242,10 @@ enum class Phase {
   ConstantFolding,
   RegisterAllocation,
   DelaySlotFilling,
-  FusedLocalSweep, ///< Cse+DeadVars+BranchChain+ConstFold in one sweep
+  /// Nothing is charged here. The slot stays so that NumPhases, journal
+  /// keys and perfbench's opt.fused_local_sweep_ms (which reads 0) keep
+  /// their shape.
+  FusedLocalSweep,
 };
 inline constexpr int NumPhases = 15;
 
@@ -279,24 +264,18 @@ struct PipelineStats {
   int FixpointIterations = 0;
   int DelaySlotNops = 0; ///< Nops emitted for unfillable delay slots
 
-  /// Behavior of the cross-round shortest-path matrix cache (JUMPS level
-  /// only): a hit means a replication round reused the previous matrix
-  /// because the flow graph was structurally unchanged.
-  int SpCacheHits = 0;
-  int SpCacheMisses = 0;
-
   /// Change-driven scheduling counters for the Figure-3 fixpoint loop.
-  /// The scheduled and rerun-everything drivers execute identical round
-  /// counts (a change always leaves a dirty bit that survives its round),
-  /// so unconditionally Run + Skipped == NumFixpointPasses * rounds ==
-  /// the pass bodies the legacy loop executes on the same input: Skipped
+  /// The default and reference pipelines execute identical round counts
+  /// (a change always leaves a dirty bit that survives its round), so
+  /// unconditionally Run + Skipped == NumFixpointPasses * rounds == the
+  /// pass bodies the reference loop executes on the same input: Skipped
   /// measures exactly the bodies the invalidation matrix avoided. The
-  /// legacy driver counts every body as Run and skips nothing.
+  /// reference pipeline counts every body as Run and skips nothing.
   int64_t FixpointPassesRun = 0;
   int64_t FixpointPassesSkipped = 0;
 
   /// Final verification rounds: one per function whose fixpoint loop
-  /// converged within MaxFixpointIterations. The legacy loop burns the
+  /// converged within MaxFixpointIterations. The reference loop burns the
   /// whole battery on that round to discover that nothing changes; the
   /// scheduler executes only the passes the last change could have
   /// perturbed and skips the rest.
@@ -307,8 +286,8 @@ struct PipelineStats {
   int FunctionCacheMisses = 0;
 
   /// Per-analysis cache behavior of the AnalysisManager (hits, recomputes
-  /// and invalidations for FlatCfg, dominators, loops, liveness and the
-  /// shortest-path matrix), summed over every function.
+  /// and invalidations for FlatCfg, dominators, loops and liveness),
+  /// summed over every function.
   AnalysisCounters Analysis;
 
   /// Wall-clock microseconds spent inside each pass, summed over every
@@ -317,7 +296,7 @@ struct PipelineStats {
 
   /// The share of PhaseMicros accrued inside the Figure-3 fixpoint loop
   /// (a phase like branch chaining also runs outside it; this slice is
-  /// what the loop itself pays, which is what pass fusion targets).
+  /// what the loop itself pays).
   int64_t FixpointPhaseMicros[NumPhases] = {};
 
   /// Sum of PhaseMicros.

@@ -29,6 +29,10 @@ using namespace coderep::rtl;
 
 namespace {
 
+/// Largest function (in blocks) the reference pipeline runs the dense
+/// Warshall/Floyd recurrence on; see JumpsPass::runRound.
+constexpr int DenseBlockLimit = 512;
+
 /// Everything needed to emit one copied block, captured before any splicing
 /// shifts positional indices. The RTLs are recorded as arena refs into the
 /// *original* blocks - stable across the splice - so planning copies no
@@ -68,8 +72,8 @@ struct UndoLog {
 class JumpsPass {
 public:
   JumpsPass(Function &F, const ReplicationOptions &O, ReplicationStats &S,
-            ShortestPathsCache *Cache, AnalysisCache &AC)
-      : F(F), O(O), S(S), Cache(Cache), AC(AC) {}
+            AnalysisCache &AC)
+      : F(F), O(O), S(S), AC(AC) {}
 
   bool run();
 
@@ -77,8 +81,7 @@ private:
   Function &F;
   const ReplicationOptions &O;
   ReplicationStats &S;
-  ShortestPathsCache *Cache; ///< optional cross-round matrix cache
-  AnalysisCache &AC;         ///< shape analyses, shared with the optimizer
+  AnalysisCache &AC; ///< shape analyses, shared with the optimizer
 
   /// (block label, target label) pairs proven non-replicable.
   std::set<std::pair<int, int>> Skip;
@@ -90,9 +93,7 @@ private:
   /// paper describes; because replications splice in new blocks, matrix
   /// entries are translated through stable block labels and every
   /// reconstructed path is re-validated against the current flow graph.
-  /// Owned by the cache when one is supplied, else by OwnedSP.
-  ShortestPaths *RoundSP = nullptr;
-  std::unique_ptr<ShortestPaths> OwnedSP;
+  std::unique_ptr<ShortestPaths> RoundSP;
   std::vector<int> RoundLabels;             ///< old index -> label
   std::map<int, int> RoundLabelToOld;       ///< label -> old index
 
@@ -139,22 +140,18 @@ bool JumpsPass::runRound() {
           ? format("\"function\": \"%s\", \"round\": %d",
                    obs::escapeJson(F.Name).c_str(), Round)
           : std::string());
-  // Step 1 once per round. With a cache, a round that follows a round (or
-  // an earlier fixpoint iteration) that left the flow graph untouched
-  // reuses the previous matrix, lazily-computed rows included. The dense
-  // baseline mode recomputes eagerly every round, as the paper describes.
-  if (O.DenseShortestPaths) {
-    OwnedSP = std::make_unique<ShortestPaths>(
-        F, ShortestPaths::Strategy::Dense, O.Trace.Sink);
-    RoundSP = OwnedSP.get();
-  } else if (Cache) {
-    Cache->setTrace(O.Trace.Sink);
-    RoundSP = &Cache->get(F);
-  } else {
-    OwnedSP = std::make_unique<ShortestPaths>(F, ShortestPaths::Strategy::Lazy,
-                                              O.Trace.Sink);
-    RoundSP = OwnedSP.get();
-  }
+  // Step 1 once per round. A disabled analysis cache marks the reference
+  // pipeline, which builds the paper's dense Warshall/Floyd matrix; the
+  // default fills lazy Dijkstra rows on demand. Both give the same costs
+  // and paths. Past DenseBlockLimit blocks the O(n^3) recurrence takes
+  // minutes per compile (random test programs reach thousands of blocks
+  // after replication), so the reference falls back to the lazy rows
+  // there; every Table-3 function stays below the limit.
+  const bool Dense = !AC.enabled() && F.size() <= DenseBlockLimit;
+  RoundSP.reset(); // free the previous round's matrix before the next one
+  RoundSP = std::make_unique<ShortestPaths>(
+      F, Dense ? ShortestPaths::Strategy::Dense : ShortestPaths::Strategy::Lazy,
+      O.Trace.Sink);
   RoundLabels.clear();
   RoundLabelToOld.clear();
   for (int B = 0; B < F.size(); ++B) {
@@ -701,13 +698,12 @@ void JumpsPass::undo(const UndoLog &U) {
 } // namespace
 
 bool replicate::runJumps(Function &F, const ReplicationOptions &Options,
-                         ReplicationStats *Stats, ShortestPathsCache *Cache,
-                         AnalysisCache *Analyses) {
+                         ReplicationStats *Stats, AnalysisCache *Analyses) {
   ReplicationStats Local;
-  // Without a caller-provided cache, fall back to a disabled local one:
-  // every query recomputes, exactly the standalone behavior.
-  AnalysisCache LocalAC(F, /*Enabled=*/false);
-  JumpsPass Pass(F, Options, Stats ? *Stats : Local, Cache,
+  // Without a caller-provided cache, use an enabled local one, so a
+  // standalone call runs the default (lazy-row) strategy.
+  AnalysisCache LocalAC(F);
+  JumpsPass Pass(F, Options, Stats ? *Stats : Local,
                  Analyses ? *Analyses : LocalAC);
   return Pass.run();
 }

@@ -86,13 +86,6 @@ struct ReplicationOptions {
   /// indirect jumps has not yet been implemented").
   bool AllowIndirectEndings = false;
 
-  /// Compile-time baseline knob: recompute the step-1 matrix eagerly with
-  /// the dense Warshall/Floyd recurrence at the start of every round,
-  /// bypassing the lazy rows and the cross-round cache. Replication
-  /// results are identical either way; bench_compile flips this to
-  /// measure the throughput win of the incremental implementation.
-  bool DenseShortestPaths = false;
-
   /// Observability: when Trace.Sink is set, every examined jump emits a
   /// structured decision record (candidates, costs, fates, rollbacks) and
   /// replication rounds emit nested span events. A default-constructed
@@ -134,19 +127,16 @@ struct ReplicationStats {
   }
 };
 
-class ShortestPathsCache;
-
 /// Generalized code replication. Returns true if the function changed.
-/// \p Cache, when given, carries the step-1 shortest-path matrix across
-/// rounds and across repeated invocations from the optimizer's fixpoint
-/// loop; it is revalidated against the flow graph before every reuse, so
-/// results are identical with or without it.
 /// \p Analyses, when given, serves (and is kept coherent with) the natural
 /// loop information the rounds need: step-6 rollbacks restore the cache to
-/// its pre-attempt snapshot, and without a cache every query recomputes.
+/// its pre-attempt snapshot. Without one, runJumps uses a private enabled
+/// cache. The step-1 matrix follows the cache's mode: lazy Dijkstra rows
+/// when it is enabled, the paper's dense Warshall/Floyd matrix (up to 512
+/// blocks) when it is disabled (the reference pipeline,
+/// PipelineOptions::Reference). Results are identical either way.
 bool runJumps(cfg::Function &F, const ReplicationOptions &Options = {},
               ReplicationStats *Stats = nullptr,
-              ShortestPathsCache *Cache = nullptr,
               cfg::AnalysisCache *Analyses = nullptr);
 
 /// Loop-condition replication only. Returns true if the function changed.

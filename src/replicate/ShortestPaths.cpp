@@ -123,49 +123,44 @@ void ShortestPaths::computeRowDijkstra(int From) const {
   R.Hops[From] = 0;
 }
 
-/// The paper's Warshall/Floyd recurrence, kept verbatim as the oracle and
-/// dense baseline. Parent/Hops track the predecessor of V on the U->V
-/// path so path reconstruction works identically to the lazy rows.
+/// The paper's Warshall/Floyd recurrence over the whole matrix, kept as
+/// the oracle and the reference pipeline's step 1. The recurrence settles
+/// costs only: among equal-cost paths it keeps a different representative
+/// than the per-source search, and JUMPS copies the representative, so
+/// replicated code would differ. The predecessor rows therefore come from
+/// the same per-source search the lazy strategy runs, and every cost the
+/// recurrence derives is checked against it.
 void ShortestPaths::computeAllDense() const {
   obs::ScopedTimer Span(Trace, "sp dense rebuild");
-  if (Trace) {
+  if (Trace)
     Trace->metrics().add("sp.dense_rebuilds", 1);
-    Trace->metrics().add("sp.rows_computed", N);
-  }
+
+  // Dist[U * N + V]; edge weight is the RTLs of the source block (what a
+  // replication passing through U copies before reaching V).
+  const size_t NN = static_cast<size_t>(N);
+  std::vector<int64_t> Dist(NN * NN, Inf);
   for (int U = 0; U < N; ++U)
-    materializeRow(U);
-
-  for (int U = 0; U < N; ++U) {
-    Row &R = Rows[U];
     for (int32_t E = SuccBegin[U]; E < SuccBegin[U + 1]; ++E) {
-      int32_t V = SuccData[E];
-      // Edge weight: the RTLs of the source block (what a replication
-      // passing through U copies before reaching V).
-      if (BlockCost[U] < R.Dist[V]) {
-        R.Dist[V] = BlockCost[U];
-        R.Parent[V] = U;
-        R.Hops[V] = 1;
-      }
+      int64_t &D = Dist[U * NN + SuccData[E]];
+      D = std::min(D, BlockCost[U]);
     }
-  }
-
-  for (int K = 0; K < N; ++K) {
-    const Row &RK = Rows[K];
+  for (int K = 0; K < N; ++K)
     for (int U = 0; U < N; ++U) {
-      Row &RU = Rows[U];
-      if (RU.Dist[K] == Inf)
+      const int64_t UK = Dist[U * NN + K];
+      if (UK == Inf)
         continue;
       for (int V = 0; V < N; ++V) {
-        if (U == V || RK.Dist[V] == Inf)
-          continue;
-        int64_t Through = RU.Dist[K] + RK.Dist[V];
-        if (Through < RU.Dist[V]) {
-          RU.Dist[V] = Through;
-          RU.Parent[V] = RK.Parent[V];
-          RU.Hops[V] = RU.Hops[K] + RK.Hops[V];
-        }
+        const int64_t KV = Dist[K * NN + V];
+        if (U != V && KV != Inf && UK + KV < Dist[U * NN + V])
+          Dist[U * NN + V] = UK + KV;
       }
     }
+
+  for (int U = 0; U < N; ++U) {
+    computeRowDijkstra(U);
+    for (int V = 0; V < N; ++V)
+      CODEREP_CHECK(Rows[U].Dist[V] == Dist[U * NN + V],
+                    "Warshall/Floyd and per-source costs disagree");
   }
 }
 
@@ -175,10 +170,8 @@ std::vector<int> ShortestPaths::path(int From, int To) const {
   if (From == To || R.Dist[To] >= Inf)
     return Out;
   // Hops[To] counts the blocks on the path (From included, To excluded):
-  // exact under Dijkstra, where parent and hop count are finalized
-  // together, so the reconstruction allocates once. (Under Floyd-Warshall
-  // a later improvement of an inner chain can shorten the walk, so the
-  // hop count is only a capacity hint there.)
+  // parent and hop count are finalized together, so the reconstruction
+  // allocates once.
   Out.reserve(static_cast<size_t>(R.Hops[To]));
   int Cur = R.Parent[To];
   for (;;) {
@@ -224,56 +217,4 @@ std::vector<int> ShortestPaths::cheapestReturnPath(int From) const {
 
 std::vector<int> ShortestPaths::cheapestIndirectPath(int From) const {
   return cheapestEndingAt(From, IndirectBlocks);
-}
-
-uint64_t ShortestPaths::fingerprint(const Function &F) {
-  // FNV-1a over everything the matrix depends on.
-  uint64_t H = 1469598103934665603ull;
-  auto mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(F.size()));
-  for (int B = 0; B < F.size(); ++B) {
-    const BasicBlock *Blk = F.block(B);
-    mix(static_cast<uint64_t>(Blk->Label));
-    mix(static_cast<uint64_t>(Blk->rtlCount()));
-    auto T = Blk->terminator();
-    if (!T) {
-      mix(0xff);
-      continue;
-    }
-    mix(static_cast<uint64_t>(T->Op));
-    switch (T->Op) {
-    case rtl::Opcode::Jump:
-    case rtl::Opcode::CondJump:
-      mix(static_cast<uint64_t>(T->Target));
-      break;
-    case rtl::Opcode::SwitchJump:
-      for (int Label : T->Table)
-        mix(static_cast<uint64_t>(Label));
-      break;
-    default:
-      break;
-    }
-  }
-  return H;
-}
-
-ShortestPaths &ShortestPathsCache::get(const Function &F) {
-  uint64_t FP = ShortestPaths::fingerprint(F);
-  if (SP && FP == Fingerprint) {
-    ++Hits;
-    if (Trace)
-      Trace->metrics().add("sp.cache.hits", 1);
-    return *SP;
-  }
-  ++Misses;
-  if (Trace)
-    Trace->metrics().add("sp.cache.misses", 1);
-  Fingerprint = FP;
-  obs::ScopedTimer Span(Trace, "shortest-paths rebuild");
-  SP = std::make_unique<ShortestPaths>(F, ShortestPaths::Strategy::Lazy,
-                                       Trace);
-  return *SP;
 }

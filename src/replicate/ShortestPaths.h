@@ -14,19 +14,15 @@
 /// implemented").
 ///
 /// The paper computes the matrix with the Warshall/Floyd O(n^3) recurrence
-/// ([Wa62], [Fl62]); that remains available as Strategy::Dense and as the
-/// oracle the tests compare against. The default Strategy::Lazy stores the
+/// ([Wa62], [Fl62]); that remains available as Strategy::Dense, the
+/// reference pipeline's step 1 and the oracle the tests compare against.
+/// The default Strategy::Lazy stores the
 /// matrix as flat arena-backed rows and fills a row only when it is first
 /// queried, with a per-source Dijkstra over the block-weighted graph -
 /// O(E log V) per row. JUMPS only ever queries rows whose source is the
 /// target of an unconditional jump, so most rows are never materialized.
-///
-/// A ShortestPathsCache carries one instance across replication rounds and
-/// fixpoint iterations, revalidating it against a structural fingerprint
-/// of the function (see fingerprint()): when the passes that ran between
-/// two replication attempts left the flow graph and block sizes untouched,
-/// the cached rows - including everything already computed lazily - are
-/// reused instead of being recomputed.
+/// JUMPS builds one matrix per round, as the paper does; nothing carries a
+/// matrix from one round to the next.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +34,6 @@
 #include "support/Arena.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace coderep::replicate {
@@ -48,11 +43,12 @@ class ShortestPaths {
 public:
   static constexpr int64_t Inf = INT64_MAX / 4;
 
-  /// How the matrix is materialized. Both strategies produce bit-identical
-  /// costs; Lazy is the default, Dense exists as the oracle/baseline.
+  /// How the matrix is materialized. Both strategies produce identical
+  /// costs and paths; Lazy is the default, Dense exists as the
+  /// oracle/baseline.
   enum class Strategy {
     Lazy, ///< per-source Dijkstra, row computed on first query
-    Dense ///< eager Floyd-Warshall over the full matrix
+    Dense ///< eager Floyd-Warshall over the full matrix, every row checked
   };
 
   /// \p Trace, when non-null, receives named metrics about the matrix
@@ -89,13 +85,6 @@ public:
   /// Rows materialized so far (== numBlocks() under Strategy::Dense).
   int rowsComputed() const { return NumRowsComputed; }
 
-  /// Structural fingerprint of \p F covering exactly what the matrix
-  /// depends on: the block sequence (labels in positional order), each
-  /// block's RTL count (the edge weights) and each block's terminator
-  /// shape (the edges). In-place rewrites that preserve instruction counts
-  /// and control flow do not change it.
-  static uint64_t fingerprint(const cfg::Function &F);
-
 private:
   /// One source row of the matrix; arrays of length N in the arena.
   struct Row {
@@ -128,43 +117,6 @@ private:
   mutable Arena RowArena;
   mutable std::vector<Row> Rows;
   mutable int NumRowsComputed = 0;
-};
-
-/// Carries a ShortestPaths instance across replication rounds and fixpoint
-/// iterations. get() revalidates the cached matrix against the function's
-/// structural fingerprint, so a hit is possible only when every cost and
-/// edge the matrix encodes is still current - in-place instruction
-/// rewrites that do not touch block sizes or terminators keep it valid.
-/// The fingerprint walk is O(blocks) per revalidation - noise next to the
-/// O(n^3) dense rebuild it replaces. (Function::cfgVersion() alone cannot
-/// gate the reuse: passes edit BasicBlock::Insns in place, which changes
-/// edges and weights without a block-list mutation.)
-class ShortestPathsCache {
-public:
-  /// Returns a matrix valid for the current state of \p F, reusing the
-  /// cached one when the fingerprint proves it is still exact.
-  ShortestPaths &get(const cfg::Function &F);
-
-  /// Drops the cached matrix unconditionally.
-  void invalidate() { SP.reset(); }
-
-  /// True while a matrix is cached (it may still fail fingerprint
-  /// revalidation on the next get()).
-  bool holdsMatrix() const { return SP != nullptr; }
-
-  /// Attaches a trace sink: every get() then bumps the "sp.cache.hits" /
-  /// "sp.cache.misses" metrics and misses are spanned as rebuilds.
-  void setTrace(obs::TraceSink *Sink) { Trace = Sink; }
-
-  int hits() const { return Hits; }
-  int misses() const { return Misses; }
-
-private:
-  std::unique_ptr<ShortestPaths> SP;
-  obs::TraceSink *Trace = nullptr;
-  uint64_t Fingerprint = 0;
-  int Hits = 0;
-  int Misses = 0;
 };
 
 } // namespace coderep::replicate

@@ -21,10 +21,11 @@
 /// requests from every tenant interleave onto the same workers and the
 /// same cache, which is what makes warm traffic cheap.
 ///
-/// Telemetry: per-request "server.request_us" (frame-in to frame-out) and
-/// "server.queue_us" (enqueue to worker pickup) histograms - recorded
+/// Telemetry: per-request "server.request_us" (frame-in to encoded reply)
+/// and "server.queue_us" (enqueue to worker pickup) histograms - recorded
 /// internally for stats() and mirrored into the attached TraceSink - plus
-/// one journal record per served request when a Journal is attached.
+/// one journal record per served request when a Journal is attached. A
+/// request is counted before its reply is written.
 ///
 /// Drain semantics (SIGTERM/SIGINT -> requestStop): the listener closes
 /// (no new tenants), every connection's read side is shut down (idle
@@ -82,13 +83,14 @@ struct ServerOptions {
 
 /// A snapshot of the server's serving counters.
 struct ServerStats {
-  int64_t RequestsServed = 0;  ///< responses written (ok or error)
+  int64_t RequestsServed = 0;  ///< responses produced (ok or error),
+                               ///< counted before the frame is written
   int64_t RequestErrors = 0;   ///< responses with status error
   int64_t ProtocolErrors = 0;  ///< frames that failed to decode
   int64_t ConnectionsAccepted = 0;
   int64_t FnCacheHits = 0;     ///< summed over served requests
   int64_t FnCacheMisses = 0;
-  obs::Histogram RequestUs;    ///< frame-in to frame-out, per request
+  obs::Histogram RequestUs;    ///< frame-in to encoded reply, per request
   obs::Histogram QueueUs;      ///< enqueue to worker pickup, per request
 
   double hitRate() const {

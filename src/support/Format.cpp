@@ -2,7 +2,9 @@
 
 #include "support/Format.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace coderep;
 
@@ -27,6 +29,15 @@ std::string coderep::percentChange(double New, double Old) {
 
 std::string coderep::signedPercent(double Value) {
   return format("%+.2f%%", Value);
+}
+
+bool coderep::parseDecimal(const char *S, uint64_t &Out) {
+  if (*S < '0' || *S > '9')
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  Out = std::strtoull(S, &End, 10);
+  return errno == 0 && *End == '\0';
 }
 
 void TextTable::addRow(std::vector<std::string> Cells) {

@@ -15,6 +15,7 @@
 #define CODEREP_SUPPORT_FORMAT_H
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,11 @@ std::string percentChange(double New, double Old);
 
 /// Renders \p Value as "+x.xx%"/"-x.xx%" (already a percentage delta).
 std::string signedPercent(double Value);
+
+/// Parses \p S as a whole unsigned decimal number: digits only, no sign,
+/// no trailing characters, within uint64_t. Returns false otherwise, so
+/// command-line flags can reject what atoi would silently read as 0.
+bool parseDecimal(const char *S, uint64_t &Out);
 
 /// A simple fixed-width text table. Columns are sized to their widest cell.
 class TextTable {

@@ -11,11 +11,12 @@
 ///
 ///   --verify=off|final|pass|round  oracle granularity (default off)
 ///   --verify-seed=N                root seed of the input battery
-///   --verify-inputs=N              inputs executed per comparison
+///   --verify-inputs=N              inputs executed per comparison (>= 1)
 ///
 /// plus the *hidden* mutation-testing flag --mutate-constant-folding,
 /// which makes the pipeline silently miscompile so the subsystem can
 /// prove it catches real miscompiles (deliberately absent from usage()).
+/// A malformed value exits 2 with a message naming the flag.
 ///
 /// Usage mirrors obs::ObsCli: consume() each argv entry, apply() onto
 /// the PipelineOptions before compiling, finish() after - it prints every
@@ -26,9 +27,12 @@
 #ifndef CODEREP_VERIFY_VERIFYCLI_H
 #define CODEREP_VERIFY_VERIFYCLI_H
 
+#include "support/Format.h"
 #include "verify/Bisim.h"
 #include "verify/Oracle.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -41,18 +45,22 @@ public:
   /// Returns true when \p Arg was one of the verification flags.
   bool consume(const std::string &Arg) {
     if (Arg.rfind("--verify=", 0) == 0) {
-      if (!parseGranularity(Arg.substr(9), Opts.Gran)) {
-        std::fprintf(stderr, "bad --verify value: %s\n", Arg.c_str() + 9);
-        std::exit(2);
-      }
+      if (!parseGranularity(Arg.substr(9), Opts.Gran))
+        fail("--verify", Arg.c_str() + 9);
       return true;
     }
     if (Arg.rfind("--verify-seed=", 0) == 0) {
-      Opts.Seed = std::strtoull(Arg.c_str() + 14, nullptr, 10);
+      if (!parseDecimal(Arg.c_str() + 14, Opts.Seed))
+        fail("--verify-seed", Arg.c_str() + 14);
       return true;
     }
     if (Arg.rfind("--verify-inputs=", 0) == 0) {
-      Opts.Inputs = std::atoi(Arg.c_str() + 16);
+      // Zero inputs would make every check vacuously clean (and mark cache
+      // entries verified), so at least one is required.
+      uint64_t N = 0;
+      if (!parseDecimal(Arg.c_str() + 16, N) || N < 1 || N > INT_MAX)
+        fail("--verify-inputs", Arg.c_str() + 16);
+      Opts.Inputs = static_cast<int>(N);
       return true;
     }
     if (Arg == "--mutate-constant-folding") {
@@ -116,6 +124,11 @@ public:
   }
 
 private:
+  [[noreturn]] static void fail(const char *Flag, const char *Value) {
+    std::fprintf(stderr, "bad %s value: %s\n", Flag, Value);
+    std::exit(2);
+  }
+
   OracleOptions Opts = [] {
     OracleOptions O;
     O.Gran = Granularity::Off; // opt-in: no flag, no verification

@@ -4,7 +4,8 @@
 // changes which sequences get replicated. The lazy per-source Dijkstra rows
 // must therefore be bit-identical in cost to the dense Floyd-Warshall
 // oracle on any flow graph the front end can produce, and every
-// reconstructed path must be a real path whose RTL sum equals its cost.
+// reconstructed path must be a real path whose RTL sum equals its cost and
+// the same path under both strategies.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,6 @@ using namespace coderep;
 using namespace coderep::cfg;
 using namespace coderep::rtl;
 using replicate::ShortestPaths;
-using replicate::ShortestPathsCache;
 
 namespace {
 
@@ -76,7 +76,10 @@ TEST(ShortestPaths, LazyMatchesDenseOracleOnRandomCfgs) {
               << "cost mismatch " << U << " -> " << V << " in " << F.Name;
           if (Lazy.cost(U, V) < ShortestPaths::Inf) {
             expectValidPath(F, Lazy.path(U, V), U, V, Lazy.cost(U, V));
-            expectValidPath(F, Dense.path(U, V), U, V, Dense.cost(U, V));
+            // Same representative among equal-cost paths, or JUMPS would
+            // copy different code under the reference pipeline.
+            ASSERT_EQ(Lazy.path(U, V), Dense.path(U, V))
+                << "path mismatch " << U << " -> " << V << " in " << F.Name;
           }
         }
       EXPECT_LE(Lazy.rowsComputed(), F.size());
@@ -118,41 +121,6 @@ TEST(ShortestPaths, DiamondTieBreaksDeterministically) {
   // Single-hop rows too.
   EXPECT_EQ(Lazy.path(1, 3), (std::vector<int>{1}));
   EXPECT_EQ(Lazy.cost(1, 3), 2);
-}
-
-TEST(ShortestPathsCache, FingerprintCatchesInPlaceEdits) {
-  Function F("cached");
-  int L1 = F.freshLabel(), L0 = F.freshLabel();
-  BasicBlock *B0 = F.appendBlockWithLabel(L0);
-  B0->Insns.push_back(Insn::move(vr(0), Operand::imm(7)));
-  BasicBlock *B1 = F.appendBlockWithLabel(L1);
-  B1->Insns.push_back(Insn::move(vr(1), Operand::imm(8)));
-  B1->Insns.push_back(Insn::ret());
-
-  ShortestPathsCache Cache;
-  ShortestPaths &A = Cache.get(F);
-  EXPECT_EQ(Cache.misses(), 1);
-  EXPECT_EQ(&Cache.get(F), &A);
-  EXPECT_EQ(Cache.hits(), 1);
-
-  // An in-place instruction edit never goes through the block-list
-  // mutators, so only the fingerprint can notice it.
-  B0->Insns.push_back(Insn::move(vr(2), Operand::imm(9)));
-  Cache.get(F);
-  EXPECT_EQ(Cache.misses(), 2);
-  EXPECT_EQ(Cache.hits(), 1);
-
-  // Same block count and RTL counts, different edge: retarget a jump.
-  B0->Insns.push_back(Insn::jump(L1));
-  Cache.get(F);
-  int Misses = Cache.misses();
-  B0->Insns.back().Target = L0; // now a self loop
-  Cache.get(F);
-  EXPECT_EQ(Cache.misses(), Misses + 1);
-
-  Cache.invalidate();
-  Cache.get(F);
-  EXPECT_EQ(Cache.misses(), Misses + 2);
 }
 
 TEST(ThreadPool, StressSubmitAndParallelFor) {

@@ -147,8 +147,8 @@ TEST(Legalize, RiscCodeIsLargerThanCisc) {
 }
 
 TEST(TargetFactory, CreatesBoth) {
-  EXPECT_EQ(createTarget(TargetKind::M68)->name(), "Motorola 68020");
-  EXPECT_EQ(createTarget(TargetKind::Sparc)->name(), "Sun SPARC");
+  EXPECT_STREQ(createTarget(TargetKind::M68)->name(), "Motorola 68020");
+  EXPECT_STREQ(createTarget(TargetKind::Sparc)->name(), "Sun SPARC");
   EXPECT_EQ(createTarget(TargetKind::Sparc)->kind(), TargetKind::Sparc);
   EXPECT_GT(createTarget(TargetKind::Sparc)->numAllocatableRegs(),
             createTarget(TargetKind::M68)->numAllocatableRegs());

@@ -341,8 +341,8 @@ TEST(MetricsTest, ScopedTimerAccumulatesWithoutSink) {
   int64_t Us = 0;
   {
     ScopedTimer T(nullptr, "unused", &Us);
-    volatile int Spin = 0;
-    for (int I = 0; I < 100000; ++I)
+    volatile unsigned Spin = 0; // unsigned: the sum wraps, well-defined
+    for (unsigned I = 0; I < 100000; ++I)
       Spin = Spin + I;
     (void)Spin;
   }

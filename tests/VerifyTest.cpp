@@ -168,9 +168,6 @@ TEST(Verify, MutationIsCaughtAndAttributedAtPassGranularity) {
   opt::PipelineOptions Opts;
   Opts.Verifier = &O;
   Opts.MutateForTesting = true;
-  // Drive the unfused schedule so every register pass is its own
-  // checkpoint - the finest attribution the pipeline offers.
-  Opts.FusedLocalSweep = false;
   Compilation C = compile(MutationVictim, target::TargetKind::M68,
                           opt::OptLevel::Jumps, &Opts);
   ASSERT_TRUE(C.ok()) << C.Error;
@@ -181,28 +178,6 @@ TEST(Verify, MutationIsCaughtAndAttributedAtPassGranularity) {
   const VerifyReport R = O.reports().front();
   EXPECT_EQ(R.Function, "f0");
   EXPECT_EQ(R.Pass, "constant folding");
-  EXPECT_FALSE(O.functionVerifiedClean("f0"));
-  EXPECT_GT(O.counters().Mismatches, 0);
-}
-
-TEST(Verify, MutationUnderFusedSweepIsAttributedToTheFusedSlot) {
-  OracleOptions OO;
-  OO.Gran = Granularity::Pass;
-  Oracle O(OO);
-  opt::PipelineOptions Opts;
-  Opts.Verifier = &O;
-  Opts.MutateForTesting = true;
-  ASSERT_TRUE(Opts.FusedLocalSweep); // the default schedule
-  Compilation C = compile(MutationVictim, target::TargetKind::M68,
-                          opt::OptLevel::Jumps, &Opts);
-  ASSERT_TRUE(C.ok()) << C.Error;
-  EXPECT_FALSE(O.ok());
-  ASSERT_FALSE(O.reports().empty());
-  // Under the fused sweep the constant-folding body runs inside the tail
-  // segment, so the fused slot is the finest attribution unit available.
-  const VerifyReport R = O.reports().front();
-  EXPECT_EQ(R.Function, "f0");
-  EXPECT_EQ(R.Pass, "fused local sweep");
   EXPECT_FALSE(O.functionVerifiedClean("f0"));
   EXPECT_GT(O.counters().Mismatches, 0);
 }
