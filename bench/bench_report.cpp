@@ -19,7 +19,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchReport.h"
+#include "support/Format.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -73,7 +75,8 @@ int main(int Argc, char **Argv) {
     if (Arg.rfind("--threshold=", 0) == 0)
       Opts.ThresholdPct = std::atof(Arg.c_str() + 12);
     else if (Arg.rfind("--window=", 0) == 0)
-      Opts.Window = std::atoi(Arg.c_str() + 9);
+      Opts.Window = static_cast<int>(
+          coderep::parseDecimalFlag("--window", Arg.substr(9), 1, INT_MAX));
     else if (Arg.rfind("--markdown-out=", 0) == 0)
       MarkdownOut = Arg.substr(15);
     else if (Arg == "--self-check")

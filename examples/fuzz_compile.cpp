@@ -33,6 +33,7 @@
 #include "Suite.h"
 #include "frontend/CodeGen.h"
 #include "obs/ObsCli.h"
+#include "support/Format.h"
 #include "verify/Bisim.h"
 #include "verify/Oracle.h"
 #include "verify/RandomProgram.h"
@@ -41,8 +42,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -219,15 +220,18 @@ int main(int Argc, char **Argv) {
       const size_t Colon = Spec.find(':');
       if (Colon == std::string::npos) {
         SeedLo = 1;
-        SeedHi = std::strtoull(Spec.c_str(), nullptr, 10);
+        SeedHi = parseDecimalFlag("--seeds", Spec, 0, UINT64_MAX);
       } else {
-        SeedLo = std::strtoull(Spec.substr(0, Colon).c_str(), nullptr, 10);
-        SeedHi = std::strtoull(Spec.substr(Colon + 1).c_str(), nullptr, 10);
+        SeedLo = parseDecimalFlag("--seeds", Spec.substr(0, Colon), 0,
+                                  UINT64_MAX);
+        SeedHi = parseDecimalFlag("--seeds", Spec.substr(Colon + 1), 0,
+                                  UINT64_MAX);
       }
     } else if (Arg == "--suite")
       Suite = true;
     else if (Arg.rfind("--jobs=", 0) == 0)
-      C.Jobs = static_cast<unsigned>(std::atoi(Arg.c_str() + 7));
+      C.Jobs = static_cast<unsigned>(
+          parseDecimalFlag("--jobs", Arg.substr(7), 0, INT_MAX));
     else if (Arg == "--target=m68")
       C.Targets = {target::TargetKind::M68};
     else if (Arg == "--target=sparc")

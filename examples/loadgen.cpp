@@ -22,10 +22,12 @@
 #include "cfg/FunctionPrinter.h"
 #include "obs/Histogram.h"
 #include "server/Client.h"
+#include "support/Format.h"
 #include "verify/RandomProgram.h"
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -65,11 +67,14 @@ int main(int Argc, char **Argv) {
     if (Arg.rfind("--socket=", 0) == 0)
       SocketPath = Arg.substr(9);
     else if (Arg.rfind("--requests=", 0) == 0)
-      Requests = std::atoi(Arg.c_str() + 11);
+      Requests = static_cast<int>(
+          parseDecimalFlag("--requests", Arg.substr(11), 1, INT_MAX));
     else if (Arg.rfind("--jobs=", 0) == 0)
-      Jobs = std::atoi(Arg.c_str() + 7);
+      Jobs = static_cast<int>(
+          parseDecimalFlag("--jobs", Arg.substr(7), 1, INT_MAX));
     else if (Arg.rfind("--seeds=", 0) == 0)
-      Seeds = std::atoi(Arg.c_str() + 8);
+      Seeds = static_cast<int>(
+          parseDecimalFlag("--seeds", Arg.substr(8), 0, INT_MAX));
     else if (Arg == "--check")
       Check = true;
     else if (Arg.rfind("--min-hit-rate=", 0) == 0)
@@ -81,7 +86,7 @@ int main(int Argc, char **Argv) {
       return 2;
     }
   }
-  if (SocketPath.empty() || Requests <= 0 || Jobs <= 0) {
+  if (SocketPath.empty()) {
     std::fprintf(stderr,
                  "usage: loadgen --socket=PATH [--requests=N] [--jobs=N] "
                  "[--seeds=N] [--check] [--min-hit-rate=X] [--history=FILE]\n");

@@ -58,10 +58,8 @@ public:
   /// Returns true when \p Arg was one of the pipeline-speed flags.
   bool consume(const std::string &Arg) {
     if (Arg.rfind("--jobs=", 0) == 0) {
-      uint64_t N = 0;
-      if (!parseDecimal(Arg.c_str() + 7, N) || N > INT_MAX)
-        fail(Arg);
-      Jobs = static_cast<int>(N);
+      Jobs = static_cast<int>(parseDecimalFlag("--jobs", Arg.substr(7), 0,
+                                               INT_MAX));
       return true;
     }
     if (Arg == "--jobs") { // bare form: use every core

@@ -65,28 +65,3 @@ void AnalysisCache::commit(uint64_t BeforeEpoch, bool KeepFlatCfg,
   keepOrDrop(Dom, KeepDominators, BeforeEpoch, Now, DominatorsKind);
   keepOrDrop(Loops, KeepLoops, BeforeEpoch, Now, LoopsKind);
 }
-
-AnalysisCache::Snapshot AnalysisCache::snapshot() const {
-  Snapshot S;
-  S.Epoch = F.analysisEpoch();
-  S.Flat = Flat.Ptr;
-  S.Dom = Dom.Ptr;
-  S.Loops = Loops.Ptr;
-  S.Stamps[FlatCfgKind] = Flat.Stamp;
-  S.Stamps[DominatorsKind] = Dom.Stamp;
-  S.Stamps[LoopsKind] = Loops.Stamp;
-  return S;
-}
-
-void AnalysisCache::restore(const Snapshot &S) {
-  F.restoreAnalysisEpoch(S.Epoch);
-  if (Flat.Ptr && Flat.Ptr != S.Flat)
-    ++Stats.Invalidations[FlatCfgKind];
-  if (Dom.Ptr && Dom.Ptr != S.Dom)
-    ++Stats.Invalidations[DominatorsKind];
-  if (Loops.Ptr && Loops.Ptr != S.Loops)
-    ++Stats.Invalidations[LoopsKind];
-  Flat = {S.Flat, S.Stamps[FlatCfgKind]};
-  Dom = {S.Dom, S.Stamps[DominatorsKind]};
-  Loops = {S.Loops, S.Stamps[LoopsKind]};
-}

@@ -19,7 +19,7 @@
 /// opt::AnalysisManager) take an AnalysisCache so JUMPS/LOOPS rounds share
 /// dominator/loop results with each other and with the optimizer's passes.
 /// opt::AnalysisManager wraps this cache and adds the dataflow (Liveness)
-/// and shortest-path slots plus the PreservedAnalyses commit protocol.
+/// slot plus the PreservedAnalyses commit protocol.
 ///
 /// Entries are held by shared_ptr: a caller that must keep a result alive
 /// across further queries or mutations (e.g. a replication round holding
@@ -49,7 +49,7 @@ public:
 
   /// \p Enabled = false turns every query into a recompute (the
   /// always-recompute oracle the cached pipeline is differentially tested
-  /// against); the commit/restore protocol becomes a no-op beyond epoch
+  /// against); the commit protocol becomes a no-op beyond epoch
   /// bookkeeping.
   explicit AnalysisCache(Function &F, bool Enabled = true)
       : F(F), Enabled(Enabled) {}
@@ -98,25 +98,9 @@ public:
   /// Drops every entry. Equivalent to commit(..., false, false, false).
   void invalidateAll() { commit(0, false, false, false); }
 
-  /// A restorable image of the cache plus the function's analysis epoch,
-  /// taken before a speculative transformation. restore() is only valid
-  /// once the function bytes are back to exactly the snapshotted state
-  /// (the JUMPS undo-log rollback): it winds the epoch back and reinstates
-  /// the snapshotted entries, discarding whatever the attempt computed.
-  struct Snapshot {
-    uint64_t Epoch = 0;
-    std::shared_ptr<const FlatCfg> Flat;
-    std::shared_ptr<const Dominators> Dom;
-    std::shared_ptr<const LoopInfo> Loops;
-    uint64_t Stamps[NumKinds] = {};
-  };
-  Snapshot snapshot() const;
-  void restore(const Snapshot &S);
-
   /// Query/invalidation accounting, indexed by Kind. A hit serves a cached
   /// entry; a recompute constructs one (with Enabled = false every query
-  /// is a recompute); an invalidation drops a live entry via commit(),
-  /// restore(), or replacement by a newer recompute.
+  /// is a recompute); an invalidation drops a live entry via commit().
   struct Counters {
     int64_t Hits[NumKinds] = {};
     int64_t Recomputes[NumKinds] = {};

@@ -97,46 +97,28 @@ public:
   /// FlatCfg snapshot once instead.
   template <typename Fn> void forEachSuccessor(int Index, Fn &&Visit) const;
 
-  /// Monotonic counter bumped by every block-list mutation (append,
-  /// insert, erase, adopt, normalize). Analyses may record it to assert
-  /// the block *sequence* they were built over is unchanged. It does NOT
-  /// observe in-place edits to BasicBlock::Insns - passes rewrite those
-  /// directly - so caches keyed on flow-graph shape must also check a
-  /// structural fingerprint (see replicate::ShortestPaths::fingerprint).
-  uint64_t cfgVersion() const { return Version; }
-
-  /// The analysis epoch: a counter bumped by every block-list mutation AND
-  /// by noteRtlEdit(), the hook passes call after in-place RTL edits. An
-  /// analysis result stamped with the epoch it was computed at is valid
-  /// exactly while the function's epoch still equals that stamp (see
-  /// cfg::AnalysisCache / opt::AnalysisManager). Unlike cfgVersion() this
-  /// is not strictly monotonic over time: restoreAnalysisEpoch() winds it
-  /// back when a transformation is rolled back byte-for-byte.
+  /// The analysis epoch: the function's one change counter, bumped by
+  /// every block-list mutation (append, insert, erase, adopt, a normalize
+  /// that edits) AND by noteRtlEdit(), the hook passes call after in-place
+  /// RTL edits. It only moves forward - undoing an edit, as a JUMPS step-6
+  /// rollback does, moves it again - so each value names one function
+  /// state. An analysis result stamped with the epoch it was computed at
+  /// is valid exactly while the function's epoch still equals that stamp
+  /// (see cfg::AnalysisCache / opt::AnalysisManager).
   uint64_t analysisEpoch() const { return AnalysisEpoch; }
 
   /// Declares that RTLs inside blocks were edited in place (the block list
-  /// itself is unchanged, so cfgVersion() stays put). Every pass mutation
-  /// path must reach either this hook or a block-list mutator before any
-  /// further analysis query, or cached analyses go stale.
+  /// itself is unchanged). Every pass mutation path must reach either this
+  /// hook or a block-list mutator before any further analysis query, or
+  /// cached analyses go stale.
   void noteRtlEdit() { ++AnalysisEpoch; }
 
   /// Declares that block labels were remapped in place (payloads moved
   /// between positions, as block reordering does): drops the label cache
-  /// and bumps both counters. normalizeFallthroughs() no longer bumps
+  /// and moves the epoch. normalizeFallthroughs() does not move it
   /// unconditionally, so a transformation that remaps labels must call
   /// this itself rather than ride on the normalize call.
   void noteBlockRemap() { invalidateLabelCache(); }
-
-  /// Rolls the analysis epoch back to \p Epoch, a value previously read
-  /// from analysisEpoch(). Only valid when the function bytes have been
-  /// restored to exactly the state they had at that reading (the JUMPS
-  /// undo-log rollback); cached analyses stamped at \p Epoch then describe
-  /// the function again.
-  void restoreAnalysisEpoch(uint64_t Epoch) {
-    CODEREP_CHECK(Epoch <= AnalysisEpoch,
-                  "analysis epoch may only be restored backwards");
-    AnalysisEpoch = Epoch;
-  }
 
   /// Predecessor lists for every block.
   std::vector<std::vector<int>> predecessors() const;
@@ -151,11 +133,14 @@ public:
   /// Jump to the positionally next block is deleted.
   void normalizeFallthroughs();
 
-  /// Deep copy, used by JUMPS step 6 to roll back a replication that made
-  /// the flow graph non-reducible.
+  /// Deep copy with identical labels, counters and arena slot numbering.
+  /// The translation validator keeps one as its pre-rewrite image; the
+  /// function cache stores optimized bodies as copies.
   std::unique_ptr<Function> clone() const;
 
-  /// Moves the whole block list out / in (used with clone() for rollback).
+  /// Moves \p Other's block list, arena and label/vreg counters into this
+  /// function, leaving \p Other without blocks (how the function cache
+  /// installs a stored body).
   void adoptBlocksFrom(Function &Other);
 
   /// Verifies structural invariants (transfers only at block ends, branch
@@ -171,7 +156,6 @@ private:
   int NextLabel = 0;
   int NextVReg = rtl::FirstVirtual;
 
-  uint64_t Version = 0;
   uint64_t AnalysisEpoch = 0;
 
   /// Label id -> positional index (-1 when the label names no block),
@@ -182,7 +166,6 @@ private:
   mutable bool LabelCacheValid = false;
   void invalidateLabelCache() {
     LabelCacheValid = false;
-    ++Version;
     ++AnalysisEpoch;
   }
 };

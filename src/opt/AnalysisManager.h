@@ -30,9 +30,10 @@
 ///
 /// Passes that query analyses *between* their own edits use the same
 /// primitive mid-run (noteEdit), so e.g. code motion's loop info survives
-/// a chain of in-block hoists. Speculative transformations (the JUMPS
-/// step-6 rollback) snapshot the shape cache and restore it - entries and
-/// epoch - instead of blanket invalidation.
+/// a chain of in-block hoists. The epoch only moves forward: a JUMPS
+/// step-6 rollback undoes its splice through ordinary mutations, which
+/// move the epoch again, so the next query recomputes rather than serving
+/// an entry of a state that no longer exists.
 ///
 /// The CFG-shape half (FlatCfg/dominators/loops) lives in
 /// cfg::AnalysisCache so the replication passes, which sit below the opt

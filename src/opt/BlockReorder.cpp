@@ -137,9 +137,8 @@ bool opt::runMergeFallthroughs(Function &F) {
 namespace {
 
 // Reordering and merging both restructure the block list outright, so a
-// change invalidates every shape and dataflow result. The shortest-path
-// matrix stays marked preserved: it is fingerprint-revalidated on every
-// reuse (and such a change always perturbs the fingerprint).
+// change invalidates every shape and dataflow result (the default, empty
+// preserved set).
 
 class BlockReorderPass final : public Pass {
 public:

@@ -121,10 +121,7 @@ namespace {
 
 // Both passes here rewrite the flow graph itself (retargeted edges,
 // erased blocks), so a change invalidates every shape and dataflow
-// result. The shortest-path matrix is still marked preserved: it
-// revalidates itself against a structural fingerprint on every reuse
-// (which any such change perturbs), and the seed pipeline never dropped
-// it eagerly either.
+// result (the default, empty preserved set).
 
 class BranchChainingPass final : public Pass {
 public:

@@ -55,18 +55,17 @@ struct Plan {
   int LoopsCompleted = 0;
 };
 
-/// Exact record of one applied plan's mutations, for step-6 rollback. All
-/// RTLs allocated by an attempt sit above one arena watermark, so rolling
-/// back is a truncation plus the two structural reversals the watermark
-/// cannot see (re-attaching the detached jump ref and reverting step-5
-/// retargets); no instruction bytes are copied either way.
+/// Exact record of one applied plan's mutations: the only step-6 rollback.
+/// Undoing reverts the step-5 retargets, erases the spliced-in copies
+/// (their RTL slots return to the arena's free list like any erase) and
+/// re-attaches the detached jump; no instruction bytes are copied either
+/// way.
 struct UndoLog {
   rtl::InsnRef Jump = rtl::InvalidInsnRef; ///< detached, not copied
   int InsertAt = 0;   ///< position of the first spliced-in copy
   int InsertedCount = 0;
   /// (block label, previous branch target) for every step-5 retarget.
   std::vector<std::pair<int, int>> Retargets;
-  rtl::InsnArena::Watermark Mark; ///< arena frontier before the attempt
 };
 
 class JumpsPass {
@@ -389,33 +388,24 @@ bool JumpsPass::tryJumpAt(int BIdx) {
     // Step 6: apply on the real function, validate, roll back on failure.
     // applyPlan mutates nothing when it returns false, and on success its
     // undo log reverses the splice exactly (only the fresh-label counter
-    // stays advanced, which no decision observes).
+    // stays advanced, which no decision observes). The analysis epoch
+    // moves forward through the undo too, so the next query recomputes
+    // whatever the attempt left stale.
     int RetargetsBefore = S.Step5Retargets;
     int StubsBefore = S.StubJumpsAdded;
     UndoLog U;
-    // The splice is speculative: every RTL the attempt allocates lands
-    // above one arena watermark (append-only mode), and the shape cache is
-    // imaged (entries and epoch), so a step-6 rollback truncates the arena
-    // and restores the pre-attempt analyses instead of copying RTLs back.
-    rtl::InsnArena &A = F.arena();
-    A.beginSpeculation();
-    U.Mark = A.watermark();
-    AnalysisCache::Snapshot Snap = AC.snapshot();
     if (!applyPlan(BIdx, P, U)) {
-      A.rollback(U.Mark);
       setFate(CI, obs::CandidateFate::PlanFailed);
       continue;
     }
     F.verify();
     if (!isReducible(F)) {
       undo(U);
-      AC.restore(Snap);
       ++S.RolledBackIrreducible;
       setFate(CI, obs::CandidateFate::RolledBackIrreducible);
       continue;
     }
-    A.commitSpeculation();
-    A.free(U.Jump); // the replaced jump's slot is dead for good
+    F.arena().free(U.Jump); // the replaced jump's slot is dead for good
     ++S.JumpsReplaced;
     S.LoopsCompleted += P.LoopsCompleted;
     if (Sink) {
@@ -686,13 +676,10 @@ void JumpsPass::undo(const UndoLog &U) {
                   "retargeted terminator changed during rollback");
     T->Target = OldTarget;
   }
-  // Erasing the copies frees their refs; the watermark truncation below
-  // then drops those slots (and every pool span and free-list entry the
-  // attempt created) in one step-6 rollback.
+  // Erasing the copies returns their slots to the arena's free list.
   for (int I = 0; I < U.InsertedCount; ++I)
     F.eraseBlock(U.InsertAt);
   F.block(U.InsertAt - 1)->Insns.attachBack(U.Jump);
-  F.arena().rollback(U.Mark);
 }
 
 } // namespace

@@ -128,13 +128,14 @@ struct ReplicationStats {
 };
 
 /// Generalized code replication. Returns true if the function changed.
-/// \p Analyses, when given, serves (and is kept coherent with) the natural
-/// loop information the rounds need: step-6 rollbacks restore the cache to
-/// its pre-attempt snapshot. Without one, runJumps uses a private enabled
-/// cache. The step-1 matrix follows the cache's mode: lazy Dijkstra rows
-/// when it is enabled, the paper's dense Warshall/Floyd matrix (up to 512
-/// blocks) when it is disabled (the reference pipeline,
-/// PipelineOptions::Reference). Results are identical either way.
+/// \p Analyses, when given, serves the natural loop information the rounds
+/// need; a step-6 rollback moves the analysis epoch forward like any other
+/// edit, so the cache never serves a result of the rolled-back attempt.
+/// Without one, runJumps uses a private enabled cache. The step-1 matrix
+/// follows the cache's mode: lazy Dijkstra rows when it is enabled, the
+/// paper's dense Warshall/Floyd matrix (up to 512 blocks) when it is
+/// disabled (the reference pipeline, PipelineOptions::Reference). Results
+/// are identical either way.
 bool runJumps(cfg::Function &F, const ReplicationOptions &Options = {},
               ReplicationStats *Stats = nullptr,
               cfg::AnalysisCache *Analyses = nullptr);

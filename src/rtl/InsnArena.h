@@ -14,16 +14,11 @@
 /// embedded heap allocation and replication copies RTLs with plain stores.
 ///
 /// Stability contract: an InsnRef stays valid (same slot, same streams)
-/// until it is explicitly freed or rolled back - block splices, erases in
-/// *other* positions, and stream growth never invalidate it. Streams are
-/// chunked, so element addresses are stable too: an InsnView's references
-/// survive any number of alloc() calls.
-///
-/// Speculation: beginSpeculation() switches allocation to append-only (the
-/// free list is not reused), watermark() captures the stream/pool/free-list
-/// sizes, and rollback(W) truncates all three - one O(1)-ish operation that
-/// undoes every allocation made after the watermark. This is what lets the
-/// JUMPS undo-log collapse to a watermark per replication decision.
+/// until it is explicitly freed - block splices, erases in *other*
+/// positions, and stream growth never invalidate it. Streams are chunked,
+/// so element addresses are stable too: an InsnView's references survive
+/// any number of alloc() calls. A freed slot goes on a free list that the
+/// next allocation reuses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +32,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace coderep::rtl {
@@ -64,14 +58,6 @@ class InsnSeq;
 /// The struct-of-arrays instruction store for one function.
 class InsnArena {
 public:
-  /// A snapshot of the arena's allocation frontier; rollback() truncates
-  /// back to it.
-  struct Watermark {
-    uint32_t Slots = 0;
-    uint32_t PoolSize = 0;
-    uint32_t FreeSlots = 0;
-  };
-
   InsnArena() = default;
   /// Deep copy: identical slot numbering, so InsnRefs recorded against the
   /// source arena address the same instructions in the copy (Function::clone
@@ -165,9 +151,8 @@ public:
       H.TableLen = 0;
       return;
     }
-    // Reuse the current span only when it has the right length and still
-    // lies inside the pool (a slot recycled across a rollback can carry a
-    // stale handle past the truncation point).
+    // Reuse the current span only when it has the right length. The
+    // bounds test is a safety check: no handle may address past the pool.
     if (H.TableLen != Len ||
         static_cast<size_t>(H.TableOff) + Len > Pool.size()) {
       H.TableOff = static_cast<uint32_t>(Pool.size());
@@ -197,36 +182,6 @@ public:
     return I;
   }
 
-  // -- Speculation / rollback.
-  Watermark watermark() const {
-    return {SlotCount, static_cast<uint32_t>(Pool.size()),
-            static_cast<uint32_t>(FreeList.size())};
-  }
-  /// Enters append-only allocation: slots freed from now on are recorded
-  /// but not reused, so rollback() can undo everything with truncation.
-  void beginSpeculation() {
-    CODEREP_CHECK(!Speculating, "nested arena speculation");
-    Speculating = true;
-  }
-  /// Keeps every allocation made since beginSpeculation().
-  void commitSpeculation() {
-    CODEREP_CHECK(Speculating, "commit without beginSpeculation");
-    Speculating = false;
-  }
-  /// Drops every slot, pool span, and free-list entry created after
-  /// \p W was taken. Only valid while speculating (or immediately after
-  /// commit was *not* called); exits speculation.
-  void rollback(const Watermark &W) {
-    CODEREP_CHECK(W.Slots <= SlotCount && W.FreeSlots <= FreeList.size() &&
-                      W.PoolSize <= Pool.size(),
-                  "arena rollback watermark from the future");
-    SlotCount = W.Slots;
-    Pool.resize(W.PoolSize);
-    FreeList.resize(W.FreeSlots);
-    Speculating = false;
-  }
-  bool speculating() const { return Speculating; }
-
   // -- Stats (run_benches.sh prints these).
   uint32_t liveInsns() const {
     return SlotCount - static_cast<uint32_t>(FreeList.size());
@@ -253,7 +208,7 @@ private:
   static uint32_t sub(InsnRef R) { return R & ChunkMask; }
 
   InsnRef allocSlot() {
-    if (!Speculating && !FreeList.empty()) {
+    if (!FreeList.empty()) {
       InsnRef R = FreeList.back();
       FreeList.pop_back();
       return R;
@@ -271,7 +226,6 @@ private:
   std::vector<InsnRef> FreeList;
   uint32_t SlotCount = 0; ///< allocation frontier (slots ever created)
   uint32_t PeakSlots = 0;
-  bool Speculating = false;
 };
 
 /// Mutable span view of one SwitchJump table in the label pool. Iterator

@@ -40,6 +40,16 @@ bool coderep::parseDecimal(const char *S, uint64_t &Out) {
   return errno == 0 && *End == '\0';
 }
 
+uint64_t coderep::parseDecimalFlag(const char *Flag, const std::string &Value,
+                                   uint64_t Min, uint64_t Max) {
+  uint64_t N = 0;
+  if (!parseDecimal(Value.c_str(), N) || N < Min || N > Max) {
+    std::fprintf(stderr, "bad %s value: %s\n", Flag, Value.c_str());
+    std::exit(2);
+  }
+  return N;
+}
+
 void TextTable::addRow(std::vector<std::string> Cells) {
   Rows.push_back({false, std::move(Cells)});
 }

@@ -36,6 +36,13 @@ std::string signedPercent(double Value);
 /// command-line flags can reject what atoi would silently read as 0.
 bool parseDecimal(const char *S, uint64_t &Out);
 
+/// Reads \p Value, the value of command-line flag \p Flag, with
+/// parseDecimal. A malformed, negative or overflowing value, or one outside
+/// [\p Min, \p Max], prints "bad <Flag> value: <Value>" and exits with
+/// status 2.
+uint64_t parseDecimalFlag(const char *Flag, const std::string &Value,
+                          uint64_t Min, uint64_t Max);
+
 /// A simple fixed-width text table. Columns are sized to their widest cell.
 class TextTable {
 public:

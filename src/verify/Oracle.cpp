@@ -13,6 +13,7 @@
 #include "ease/Interp.h"
 #include "obs/ScopedTimer.h"
 #include "obs/Trace.h"
+#include "support/Check.h"
 #include "support/Format.h"
 #include "support/Rng.h"
 
@@ -302,7 +303,11 @@ void OracleSession::check(const char *Pass, int Round, const cfg::Function &F) {
 
 } // namespace coderep::verify
 
-Oracle::Oracle(const OracleOptions &Opts) : Opts(Opts) {}
+Oracle::Oracle(const OracleOptions &Opts) : Opts(Opts) {
+  // With no inputs every check would pass vacuously, and the pipeline
+  // would mark the function-cache entry verified.
+  CODEREP_CHECK(Opts.Inputs >= 1, "OracleOptions::Inputs must be >= 1");
+}
 
 Oracle::~Oracle() = default;
 

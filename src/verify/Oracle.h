@@ -61,7 +61,8 @@ struct OracleOptions {
 
   /// Inputs executed per comparison. Input 0 is a fixed vector matching
   /// the generator's canonical call f(9, 4, 2) with zeroed memory; the
-  /// rest are seeded random vectors with random memory images.
+  /// rest are seeded random vectors with random memory images. Must be at
+  /// least 1; the Oracle constructor aborts otherwise.
   int Inputs = 4;
 
   /// Step budget per run; runs that exceed it are inconclusive.

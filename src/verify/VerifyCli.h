@@ -50,17 +50,15 @@ public:
       return true;
     }
     if (Arg.rfind("--verify-seed=", 0) == 0) {
-      if (!parseDecimal(Arg.c_str() + 14, Opts.Seed))
-        fail("--verify-seed", Arg.c_str() + 14);
+      Opts.Seed = parseDecimalFlag("--verify-seed", Arg.substr(14), 0,
+                                   UINT64_MAX);
       return true;
     }
     if (Arg.rfind("--verify-inputs=", 0) == 0) {
       // Zero inputs would make every check vacuously clean (and mark cache
       // entries verified), so at least one is required.
-      uint64_t N = 0;
-      if (!parseDecimal(Arg.c_str() + 16, N) || N < 1 || N > INT_MAX)
-        fail("--verify-inputs", Arg.c_str() + 16);
-      Opts.Inputs = static_cast<int>(N);
+      Opts.Inputs = static_cast<int>(
+          parseDecimalFlag("--verify-inputs", Arg.substr(16), 1, INT_MAX));
       return true;
     }
     if (Arg == "--mutate-constant-folding") {

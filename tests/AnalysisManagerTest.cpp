@@ -3,9 +3,8 @@
 // The analysis manager holds the same bar as every other throughput layer:
 // serving FlatCfg/dominators/loops/liveness from the cache must be
 // byte-identical to recomputing them at every query. These tests pin the
-// epoch protocol (block mutations and RTL-edit hooks move it, rollback
-// winds it back), the PreservedAnalyses commit filtering, the
-// snapshot/restore path the JUMPS step-6 rollback uses, the cached
+// epoch protocol (block mutations and RTL-edit hooks move it, and it only
+// moves forward), the PreservedAnalyses commit filtering, the cached
 // pipeline against the always-recompute reference pipeline
 // (PipelineOptions::Reference) over the whole Table-3 suite and in
 // parallel, and the counter identities that make the savings auditable.
@@ -15,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "Suite.h"
-#include "cfg/AnalysisCache.h"
 #include "cfg/FunctionPrinter.h"
 #include "driver/Compiler.h"
 #include "obs/Trace.h"
@@ -96,16 +94,6 @@ TEST(AnalysisEpoch, MovesOnEveryMutationPath) {
   uint64_t E3 = F->analysisEpoch();
   F->noteRtlEdit();
   EXPECT_GT(F->analysisEpoch(), E3) << "noteRtlEdit must move the epoch";
-}
-
-TEST(AnalysisEpoch, RestoreWindsBackwards) {
-  auto F = makeLoopFunction();
-  uint64_t Saved = F->analysisEpoch();
-  F->noteRtlEdit();
-  F->noteRtlEdit();
-  EXPECT_GT(F->analysisEpoch(), Saved);
-  F->restoreAnalysisEpoch(Saved);
-  EXPECT_EQ(F->analysisEpoch(), Saved);
 }
 
 //===----------------------------------------------------------------------===//
@@ -240,33 +228,6 @@ TEST(AnalysisManagerUnit, CommitRespectsTheBeforeEpochInterval) {
   AnalysisCounters A = AM.counters();
   EXPECT_EQ(A.Recomputes[static_cast<int>(AnalysisID::Loops)], 2)
       << "stale entry from before the pass started must not be restamped";
-}
-
-//===----------------------------------------------------------------------===//
-// Snapshot / restore (the JUMPS step-6 rollback path)
-//===----------------------------------------------------------------------===//
-
-TEST(AnalysisCacheUnit, RestoreReinstatesEntriesAndEpoch) {
-  auto F = makeLoopFunction();
-  AnalysisCache AC(*F);
-  AC.loops();
-  ASSERT_TRUE(AC.valid(AnalysisCache::LoopsKind));
-  AnalysisCache::Snapshot Snap = AC.snapshot();
-  const int64_t HitsBefore = AC.counters().Hits[AnalysisCache::LoopsKind];
-
-  // A speculative splice: insert a block, query (replacing the cached
-  // entries), then roll the bytes back and restore the snapshot.
-  F->insertBlock(1);
-  AC.loops();
-  F->eraseBlock(1);
-  AC.restore(Snap);
-
-  EXPECT_EQ(F->analysisEpoch(), Snap.Epoch);
-  EXPECT_TRUE(AC.valid(AnalysisCache::LoopsKind))
-      << "restored entries must serve the restored epoch";
-  AC.loops();
-  EXPECT_EQ(AC.counters().Hits[AnalysisCache::LoopsKind], HitsBefore + 1)
-      << "the query after restore must be a hit";
 }
 
 //===----------------------------------------------------------------------===//

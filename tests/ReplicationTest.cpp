@@ -2,9 +2,13 @@
 
 #include "replicate/Replication.h"
 
+#include "Suite.h"
+#include "cfg/AnalysisCache.h"
 #include "cfg/CfgAnalysis.h"
 #include "ease/Interp.h"
+#include "frontend/CodeGen.h"
 #include "replicate/ShortestPaths.h"
+#include "target/Target.h"
 
 #include <gtest/gtest.h>
 
@@ -364,7 +368,62 @@ TEST(JumpsReplication, StatsAreConsistent) {
   runJumps(*F, {}, &Stats);
   EXPECT_GE(Stats.JumpsReplaced, 1);
   EXPECT_GE(Stats.SkippedNoCandidate, 0);
-  EXPECT_GE(Stats.RolledBackIrreducible, 0);
+}
+
+/// The suite's wc program lowered and legalized for \p TK, unoptimized.
+std::unique_ptr<Program> legalizedWc(target::TargetKind TK) {
+  auto P = std::make_unique<Program>();
+  std::string Error;
+  EXPECT_TRUE(frontend::compileToRtl(bench::program("wc").Source, *P, Error))
+      << Error;
+  auto T = target::createTarget(TK);
+  for (auto &F : P->Functions)
+    T->legalizeFunction(*F);
+  return P;
+}
+
+// Step 6 on a real function: in wc's main one replication makes the flow
+// graph irreducible and is undone through the undo log alone. Undo must
+// leave the function executable, free every slot the attempt allocated, and
+// leave no cached analysis describing the rolled-back state.
+TEST(JumpsReplication, RollbackOfIrreducibleReplicationOnWc) {
+  for (target::TargetKind TK :
+       {target::TargetKind::M68, target::TargetKind::Sparc}) {
+    SCOPED_TRACE(TK == target::TargetKind::M68 ? "M68" : "SPARC");
+    auto P = legalizedWc(TK);
+    Function &Main = *P->Functions[P->findFunction("main")];
+    ease::RunOptions RO;
+    RO.Input = bench::program("wc").Input;
+    ease::RunResult Before = ease::run(*P, RO);
+    ASSERT_TRUE(Before.ok()) << Before.TrapMessage;
+
+    AnalysisCache AC(Main);
+    AC.loops(); // warm the cache, so a stale entry would be observable
+    const uint64_t EpochBefore = Main.analysisEpoch();
+    ReplicationStats Stats;
+    runJumps(Main, {}, &Stats, &AC);
+    EXPECT_EQ(Stats.RolledBackIrreducible, 1);
+    EXPECT_EQ(Stats.JumpsReplaced, 2);
+    EXPECT_GT(Main.analysisEpoch(), EpochBefore);
+
+    Main.verify();
+    EXPECT_TRUE(isReducible(Main));
+    EXPECT_EQ(Main.arena().liveInsns(),
+              static_cast<uint32_t>(Main.rtlCount()))
+        << "the rolled-back copies' slots must return to the free list";
+    ease::RunResult After = ease::run(*P, RO);
+    ASSERT_TRUE(After.ok()) << After.TrapMessage;
+    EXPECT_EQ(After.Output, Before.Output);
+    EXPECT_EQ(After.ExitCode, Before.ExitCode);
+
+    const LoopInfo &Cached = AC.loops();
+    LoopInfo Fresh(Main);
+    ASSERT_EQ(Cached.loops().size(), Fresh.loops().size());
+    for (size_t L = 0; L < Fresh.loops().size(); ++L) {
+      EXPECT_EQ(Cached.loops()[L].Header, Fresh.loops()[L].Header);
+      EXPECT_EQ(Cached.loops()[L].Blocks, Fresh.loops()[L].Blocks);
+    }
+  }
 }
 
 } // namespace

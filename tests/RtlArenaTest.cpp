@@ -1,18 +1,14 @@
 //===- RtlArenaTest.cpp - SoA instruction arena unit tests --------------------===//
 //
-// The contracts the passes and the replication undo protocol lean on:
+// The contracts the passes and the replication undo log lean on:
 //
 //  * InsnRef/InsnView stability - a ref (and a view's stream references)
 //    stays valid across arbitrary arena growth, erases elsewhere, and
-//    InsnSeq splices, until the slot itself is freed or rolled back;
+//    InsnSeq splices, until the slot itself is freed;
 //  * label-pool handles - SwitchJump tables live in the shared pool as
 //    (offset, length) spans, survive same-arena clones and cross-arena
 //    clones, and same-length overwrites reuse their span;
-//  * free-list reuse - freed slots are recycled LIFO outside speculation
-//    and never recycled inside it;
-//  * the speculation protocol - watermark/rollback truncates every slot,
-//    pool span and free-list entry created after the mark, and
-//    commitSpeculation keeps them.
+//  * free-list reuse - freed slots are recycled LIFO.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,45 +54,6 @@ TEST(InsnArena, FreeListIsReusedLifoOutsideSpeculation) {
   EXPECT_EQ(A.alloc(Insn(Opcode::Nop)), R0);
   // No new slots were created.
   EXPECT_EQ(A.peakRefs(), 2u);
-}
-
-TEST(InsnArena, SpeculationIsAppendOnlyAndRollbackTruncates) {
-  InsnArena A;
-  InsnRef Kept = A.alloc(addImm(FirstVirtual, FirstVirtual, 1));
-  InsnRef Freed = A.alloc(Insn(Opcode::Nop));
-  A.free(Freed);
-
-  A.beginSpeculation();
-  InsnArena::Watermark W = A.watermark();
-  // Append-only: the freed slot must NOT be recycled while speculating,
-  // or rollback could not undo allocations by truncation.
-  InsnRef Spec = A.alloc(Insn::switchJump(Operand::reg(FirstVirtual),
-                                          {1, 2, 3, 4}));
-  EXPECT_NE(Spec, Freed);
-  EXPECT_GE(Spec, W.Slots);
-  A.free(Kept); // speculative free: recorded, undone by rollback
-
-  A.rollback(W);
-  EXPECT_FALSE(A.speculating());
-  // The speculative slot and its pool span are gone; the pre-mark state
-  // (one live slot, one free-list entry) is back.
-  EXPECT_EQ(A.watermark().Slots, W.Slots);
-  EXPECT_EQ(A.watermark().PoolSize, W.PoolSize);
-  EXPECT_EQ(A.watermark().FreeSlots, W.FreeSlots);
-  EXPECT_EQ(A.head(Kept).Op, Opcode::Add);
-}
-
-TEST(InsnArena, CommitSpeculationKeepsAllocations) {
-  InsnArena A;
-  A.beginSpeculation();
-  InsnRef R = A.alloc(addImm(FirstVirtual, FirstVirtual, 3));
-  A.commitSpeculation();
-  EXPECT_FALSE(A.speculating());
-  EXPECT_EQ(A.head(R).Op, Opcode::Add);
-  EXPECT_EQ(A.liveInsns(), 1u);
-  // Back to normal allocation: frees are recycled again.
-  A.free(R);
-  EXPECT_EQ(A.alloc(Insn(Opcode::Nop)), R);
 }
 
 TEST(InsnArena, SwitchTablesLiveInThePool) {

@@ -271,6 +271,16 @@ TEST(Verify, MutationChangesFunctionCacheKeys) {
   EXPECT_EQ(C2.Pipeline.FunctionCacheHits, 0);
 }
 
+// Named outside the Verify suite: forking death tests stay out of the
+// TSan job, which runs Verify.*.
+TEST(OracleOptionsDeathTest, FewerThanOneInputIsRejected) {
+  for (int Inputs : {0, -1}) {
+    OracleOptions O;
+    O.Inputs = Inputs;
+    EXPECT_DEATH(Oracle{O}, "OracleOptions::Inputs must be >= 1") << Inputs;
+  }
+}
+
 TEST(Verify, RandomProgramsAreDeterministicPerSeed) {
   EXPECT_EQ(randomProgram(42), randomProgram(42));
   EXPECT_NE(randomProgram(1), randomProgram(2));
