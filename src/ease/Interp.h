@@ -22,6 +22,18 @@
 ///  * Library routines are interpreter intrinsics and are *not* measured,
 ///    matching the paper ("library routines could not be measured").
 ///
+/// Execution runs off a pre-decoded image (DecodedProgram), never off the
+/// cfg::Function itself: each function is decoded once into a flat array
+/// of decoded RTLs in layoutCode order, delay slots right after their
+/// terminators, so RTL i of a function is fetched from the function's
+/// base address + 4*i. Operands are pre-classified into register-slot,
+/// immediate and memory form with global symbols resolved to addresses;
+/// branch and switch targets are array indices; each fall-through off the
+/// end of a block that does not end in a transfer (and each empty block)
+/// is an explicit entry after the RTLs that costs one step and fetches
+/// nothing. The executor keeps every active call's registers in one
+/// contiguous stack.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CODEREP_EASE_INTERP_H
@@ -31,6 +43,7 @@
 #include "ease/Layout.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,7 +107,9 @@ enum class Trap {
   OutOfBounds,   ///< memory access outside the data segment
   DivByZero,
   StepLimit,
-  BadProgram,    ///< malformed control flow or missing main
+  BadProgram,    ///< malformed code (bad register, operand, label or
+                 ///< global symbol, control falling off a function) or
+                 ///< missing main
   Overflow,      ///< signed division overflow (INT32_MIN / -1)
 };
 
@@ -142,7 +157,37 @@ struct RunResult {
   bool ok() const { return TrapKind == Trap::None; }
 };
 
-/// Executes \p P starting at its "main" function.
+/// A program decoded for execution (see the file comment). The image is a
+/// snapshot: it copies what it needs and stays valid after the program it
+/// was decoded from changes or is destroyed, so one decode can serve many
+/// runs. An RTL that names a register outside its function's register
+/// file, lacks an operand it reads, has a destination that is neither a
+/// register nor memory, or names an unknown global decodes to a fault:
+/// executing it is fetched and counted, then traps with Trap::BadProgram.
+class DecodedProgram {
+public:
+  /// Decodes every function and the global-data layout of \p P.
+  explicit DecodedProgram(const cfg::Program &P);
+  /// Decodes the one-function program "\p F (function id 0) over
+  /// \p Globals" without building it.
+  DecodedProgram(const std::vector<cfg::Global> &Globals,
+                 const cfg::Function &F);
+  DecodedProgram(DecodedProgram &&) noexcept;
+  DecodedProgram &operator=(DecodedProgram &&) noexcept;
+  ~DecodedProgram();
+
+  struct Impl;
+
+private:
+  std::unique_ptr<Impl> I;
+  friend RunResult run(const DecodedProgram &D, const RunOptions &Options);
+};
+
+/// Executes \p D starting at its "main" function (or at
+/// RunOptions::EntryFunction).
+RunResult run(const DecodedProgram &D, const RunOptions &Options);
+
+/// Decodes \p P and executes it.
 RunResult run(const cfg::Program &P, const RunOptions &Options);
 
 } // namespace coderep::ease

@@ -43,6 +43,11 @@ struct CodeLayout {
 /// Computes the layout; \p Base is the address of the first instruction.
 CodeLayout layoutCode(const cfg::Program &P, uint32_t Base = 0);
 
+/// Lays out one function from \p Addr: appends the address of each of its
+/// blocks to \p BlockAddr and advances \p Addr past its last RTL.
+void layoutFunction(const cfg::Function &F, uint32_t &Addr,
+                    std::vector<uint32_t> &BlockAddr);
+
 } // namespace coderep::ease
 
 #endif // CODEREP_EASE_LAYOUT_H

@@ -1,9 +1,10 @@
 //===- Oracle.cpp - Per-pass translation-validation oracle ---------------------===//
 //
-// The comparison battery. Each check clones the snapshot and the current
-// function into single-function probe programs (calls to other measured
-// functions are stubbed by the interpreter) and executes both on the same
-// derived inputs; the first diverging observable becomes the report.
+// The comparison battery. The session keeps its baseline as a decoded
+// single-function program (calls to other measured functions are stubbed
+// by the interpreter); each check decodes the current function once and
+// executes both sides on the same derived inputs; the first diverging
+// observable becomes the report.
 //
 //===----------------------------------------------------------------------===//
 
@@ -116,18 +117,14 @@ ProbeInput deriveInput(const OracleOptions &O, const std::string &Fn,
   return In;
 }
 
-/// Executes \p F alone, with \p Globals, on \p In. \p Arity carries the
-/// whole program's per-callee argument-word counts so stubbed call events
-/// record declared arguments only (the caller's frame beyond them is not
-/// an observable).
-ease::RunResult runProbe(const cfg::Function &F,
-                         const std::vector<cfg::Global> &Globals,
+/// Executes the decoded one-function program \p Code on \p In. \p Arity
+/// carries the whole program's per-callee argument-word counts so stubbed
+/// call events record declared arguments only (the caller's frame beyond
+/// them is not an observable).
+ease::RunResult runProbe(const ease::DecodedProgram &Code,
                          const std::vector<int> &Arity,
                          const OracleOptions &O, const ProbeInput &In,
                          uint64_t StubSeed) {
-  cfg::Program P;
-  P.Globals = Globals;
-  P.Functions.push_back(F.clone());
   ease::RunOptions RO;
   RO.MaxSteps = O.MaxSteps;
   RO.EntryFunction = 0;
@@ -138,7 +135,7 @@ ease::RunResult runProbe(const cfg::Function &F,
   RO.CaptureGlobals = true;
   if (!In.MemImage.empty())
     RO.MemImage = &In.MemImage;
-  return ease::run(P, RO);
+  return ease::run(Code, RO);
 }
 
 std::string renderCallEvent(const ease::RunResult::CallEvent &E) {
@@ -208,12 +205,12 @@ bool firstDivergence(const ease::RunResult &A, const ease::RunResult &B,
 namespace coderep::verify {
 
 /// One function's observer: keeps the most recent validated state as the
-/// baseline and, whenever the configured granularity fires, executes
-/// baseline vs. current on the input battery.
+/// baseline (its text and its decoded code) and, whenever the configured
+/// granularity fires, executes baseline vs. current on the input battery.
 class OracleSession final : public opt::FunctionVerifier::Session {
 public:
   OracleSession(Oracle &O, const cfg::Function &F)
-      : O(O), Baseline(F.clone()), BaselineText(cfg::toString(F)) {}
+      : O(O), Baseline(O.Globals, F), BaselineText(cfg::toString(F)) {}
 
   void afterPass(opt::Phase Ph, int Round, const cfg::Function &F,
                  bool Changed) override {
@@ -238,7 +235,7 @@ private:
   void check(const char *Pass, int Round, const cfg::Function &F);
 
   Oracle &O;
-  std::unique_ptr<cfg::Function> Baseline;
+  ease::DecodedProgram Baseline;
   std::string BaselineText;
 };
 
@@ -259,14 +256,13 @@ void OracleSession::check(const char *Pass, int Round, const cfg::Function &F) {
                       obs::escapeJson(F.Name).c_str(), Pass, Round)
              : std::string());
 
+  ease::DecodedProgram Current(O.Globals, F);
   int64_t InputsRun = 0, Inconclusive = 0;
   for (int I = 0; I < O.Opts.Inputs; ++I) {
     const ProbeInput In = deriveInput(O.Opts, F.Name, I);
     const uint64_t StubSeed = mix(O.Opts.Seed ^ static_cast<uint64_t>(I));
-    const ease::RunResult A =
-        runProbe(*Baseline, O.Globals, O.Arity, O.Opts, In, StubSeed);
-    const ease::RunResult B =
-        runProbe(F, O.Globals, O.Arity, O.Opts, In, StubSeed);
+    const ease::RunResult A = runProbe(Baseline, O.Arity, O.Opts, In, StubSeed);
+    const ease::RunResult B = runProbe(Current, O.Arity, O.Opts, In, StubSeed);
     ++InputsRun;
     // Double-clean rule: a trap on either side (including the step limit)
     // makes the input inconclusive - legal code motion may reorder a trap
@@ -290,7 +286,7 @@ void OracleSession::check(const char *Pass, int Round, const cfg::Function &F) {
 
   // Validated (or reported): the current state becomes the next baseline,
   // so each report names the single pass that introduced the divergence.
-  Baseline = F.clone();
+  Baseline = std::move(Current);
   BaselineText = std::move(CurText);
 
   if (O.Opts.Sink)

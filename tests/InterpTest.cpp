@@ -245,6 +245,117 @@ TEST(Interp, StepLimitTraps) {
   EXPECT_EQ(R.TrapKind, Trap::StepLimit);
 }
 
+/// main falls through into an empty loop head, calls f from the end of a
+/// block (so the return lands on a block end and falls through), loops
+/// three times through a branch with a Nop delay slot, and returns 3
+/// through an empty block; f starts with an empty block.
+Program stepBoundaryProgram() {
+  Program P;
+  auto Main = std::make_unique<Function>("main");
+  for (int I = 0; I < 4; ++I)
+    Main->freshVReg();
+  int LLoop = Main->freshLabel();
+  BasicBlock *B0 = Main->appendBlock();
+  B0->Insns.push_back(Insn::move(Operand::reg(RegFP), Operand::reg(RegSP)));
+  B0->Insns.push_back(Insn::move(vr(0), Operand::imm(0)));
+  Main->appendBlockWithLabel(LLoop);
+  Main->appendBlock()->Insns.push_back(Insn::call(1));
+  BasicBlock *B3 = Main->appendBlock();
+  B3->Insns.push_back(Insn::binary(Opcode::Add, vr(0), vr(0), Operand::imm(1)));
+  B3->Insns.push_back(Insn::compare(vr(0), Operand::imm(3)));
+  B3->Insns.push_back(Insn::condJump(CondCode::Lt, LLoop));
+  B3->DelaySlot = Insn(Opcode::Nop);
+  Main->appendBlock();
+  BasicBlock *B5 = Main->appendBlock();
+  B5->Insns.push_back(Insn::move(Operand::reg(RegRV), vr(0)));
+  B5->Insns.push_back(Insn::ret());
+  P.Functions.push_back(std::move(Main));
+
+  auto F = std::make_unique<Function>("f");
+  F->appendBlock();
+  BasicBlock *FB = F->appendBlock();
+  FB->Insns.push_back(Insn::move(Operand::reg(RegRV), Operand::imm(7)));
+  FB->Insns.push_back(Insn::ret());
+  P.Functions.push_back(std::move(F));
+  return P;
+}
+
+TEST(Interp, StepLimitBoundaryIsExact) {
+  // Every RTL, every fall-through off a block's end and every empty block
+  // costs one step: 3 in the entry block, 9 per iteration, 3 to return.
+  constexpr uint64_t Steps = 33;
+  Program P = stepBoundaryProgram();
+  RunOptions RO;
+  RO.MaxSteps = Steps;
+  RunResult R = run(P, RO);
+  ASSERT_TRUE(R.ok()) << R.TrapMessage;
+  EXPECT_EQ(R.ExitCode, 3);
+  EXPECT_EQ(R.Stats.Executed, 25u);
+  EXPECT_EQ(R.Stats.Nops, 3u);
+  RO.MaxSteps = Steps - 1;
+  R = run(P, RO);
+  EXPECT_EQ(R.TrapKind, Trap::StepLimit);
+  EXPECT_EQ(R.TrapMessage, "step limit exceeded");
+}
+
+TEST(Interp, BadRegisterNumbersTrap) {
+  // Physical registers live in [0, 64) and virtual ones below vregLimit();
+  // any other register number is a defined BadProgram trap at the RTL that
+  // names it, never a host abort - as a source, a destination or an
+  // address register (where a negative number means "no register").
+  for (int Reg : {100, -1, FirstVirtual + 16}) {
+    std::vector<std::vector<Insn>> Uses = {
+        {Insn::move(vr(0), Operand::reg(Reg))},
+        {Insn::move(Operand::reg(Reg), Operand::imm(1))},
+        {Insn::binary(Opcode::Add, vr(0), vr(0), Operand::reg(Reg))},
+    };
+    if (Reg >= 0)
+      Uses.push_back({Insn::move(vr(0), Operand::mem(-1, 0x200, 4, Reg, 4))});
+    for (const std::vector<Insn> &Body : Uses) {
+      Program P = makeProgram(Body);
+      RunOptions RO;
+      RunResult R = run(P, RO);
+      EXPECT_EQ(R.TrapKind, Trap::BadProgram) << "register " << Reg;
+      EXPECT_EQ(R.TrapMessage, "register out of range") << "register " << Reg;
+      // The prologue move ran, then the faulting RTL was fetched.
+      EXPECT_EQ(R.Stats.Executed, 2u) << "register " << Reg;
+    }
+  }
+}
+
+TEST(Interp, BadRegisterOnAnUnexecutedPathIsHarmless) {
+  // Decoding never traps by itself: only executing the bad RTL does.
+  Program P = makeProgram({Insn::move(Operand::reg(RegRV), Operand::imm(5))});
+  Function &F = *P.Functions[0];
+  BasicBlock *Dead = F.appendBlock();
+  Dead->Insns.push_back(Insn::move(vr(0), Operand::reg(100)));
+  Dead->Insns.push_back(Insn::ret());
+  RunOptions RO;
+  RunResult R = run(P, RO);
+  ASSERT_TRUE(R.ok()) << R.TrapMessage;
+  EXPECT_EQ(R.ExitCode, 5);
+}
+
+TEST(Interp, DecodedProgramServesManyRuns) {
+  // One decode, several runs with different inputs; the image outlives
+  // the program it was decoded from.
+  auto P = std::make_unique<Program>(makeProgram({
+      Insn::move(vr(0), Operand::mem(RegSP, 0, 4)),
+      Insn::binary(Opcode::Mul, Operand::reg(RegRV), vr(0), Operand::imm(3)),
+  }));
+  P->Functions[0]->Name = "f";
+  DecodedProgram D(*P);
+  P.reset();
+  for (int32_t Arg : {1, 7, -4}) {
+    RunOptions RO;
+    RO.EntryFunction = 0;
+    RO.EntryArgs = {Arg};
+    RunResult R = run(D, RO);
+    ASSERT_TRUE(R.ok()) << R.TrapMessage;
+    EXPECT_EQ(R.ExitCode, 3 * Arg);
+  }
+}
+
 TEST(Interp, MissingMainTraps) {
   Program P;
   RunOptions RO;
