@@ -496,8 +496,10 @@ private:
     trap(Trap::OutOfBounds, format("memory access at 0x%x", Addr).c_str());
   }
 
+  // Accesses are bytes (Size 1) or words (any other Size): the bounds
+  // check and the dirty-page mark cover the bytes actually accessed.
   int64_t load(uint32_t Addr, uint8_t Size) {
-    if (!checkAddr(Addr, Size))
+    if (!checkAddr(Addr, Size == 1 ? 1 : 4))
       return 0;
     if (Size == 1)
       return static_cast<int8_t>(Mem[Addr]);
@@ -507,9 +509,10 @@ private:
   }
 
   void store(uint32_t Addr, uint8_t Size, int64_t Value) {
-    if (!checkAddr(Addr, Size))
+    const uint32_t Width = Size == 1 ? 1 : 4;
+    if (!checkAddr(Addr, Width))
       return;
-    Mem.touch(Addr, Size);
+    Mem.touch(Addr, Width);
     if (Size == 1) {
       Mem[Addr] = static_cast<uint8_t>(Value);
       return;

@@ -20,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Golden.h"
 #include "Suite.h"
 #include "driver/Compiler.h"
 #include "ease/Interp.h"
@@ -29,40 +30,13 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <map>
 #include <string>
 
 using namespace coderep;
 using namespace coderep::driver;
+using namespace coderep::golden;
 
 namespace {
-
-const target::TargetKind BothTargets[] = {target::TargetKind::M68,
-                                          target::TargetKind::Sparc};
-
-const char *targetName(target::TargetKind TK) {
-  return TK == target::TargetKind::M68 ? "M68" : "SPARC";
-}
-
-/// 64-bit FNV-1a, fed incrementally.
-struct Fnv {
-  uint64_t H = 14695981039346656037ull;
-  void add(const void *Data, size_t Size) {
-    const auto *P = static_cast<const unsigned char *>(Data);
-    for (size_t I = 0; I < Size; ++I) {
-      H ^= P[I];
-      H *= 1099511628211ull;
-    }
-  }
-  void addWord(uint32_t W) { add(&W, sizeof W); }
-};
-
-uint64_t fnv1a64(const std::string &S) {
-  Fnv F;
-  F.add(S.data(), S.size());
-  return F.H;
-}
 
 /// Digests the fetch-address stream, word by word.
 struct FetchDigest : ease::FetchSink {
@@ -81,28 +55,6 @@ std::string statsText(const ease::DynamicStats &S) {
                 static_cast<unsigned long long>(S.Returns),
                 static_cast<unsigned long long>(S.Calls),
                 static_cast<unsigned long long>(S.Nops));
-}
-
-/// Golden lines keyed by their run name (the text before the first space).
-std::map<std::string, std::string> loadGolden() {
-  std::map<std::string, std::string> Lines;
-  std::ifstream In(CODEREP_GOLDEN_DYNAMIC);
-  std::string Line;
-  while (std::getline(In, Line))
-    if (!Line.empty() && Line[0] != '#')
-      Lines[Line.substr(0, Line.find(' '))] = Line;
-  return Lines;
-}
-
-void expectGolden(const std::map<std::string, std::string> &Golden,
-                  const std::string &Actual) {
-  std::string Key = Actual.substr(0, Actual.find(' '));
-  auto It = Golden.find(Key);
-  if (It == Golden.end()) {
-    ADD_FAILURE() << "no golden line for " << Key << "; actual:\n" << Actual;
-    return;
-  }
-  EXPECT_EQ(It->second, Actual) << "actual:\n" << Actual;
 }
 
 /// "<prog>/<target>/<level> trap=<k> exit=<n> <stats> out=<fnv> fetch=<fnv>".
@@ -170,7 +122,7 @@ std::string probeLine(const std::string &Key, const cfg::Program &P, int Fn,
 constexpr int ProbeInputs = 4;
 
 TEST(GoldenDynamic, SuiteMatchesCommittedStats) {
-  const auto Golden = loadGolden();
+  const auto Golden = loadGolden(CODEREP_GOLDEN_DYNAMIC);
   ASSERT_FALSE(Golden.empty()) << "cannot read " << CODEREP_GOLDEN_DYNAMIC;
   const opt::OptLevel Levels[] = {opt::OptLevel::Simple, opt::OptLevel::Loops,
                                   opt::OptLevel::Jumps};
@@ -185,7 +137,7 @@ TEST(GoldenDynamic, SuiteMatchesCommittedStats) {
 }
 
 TEST(GoldenDynamic, OracleProbesMatchCommittedStats) {
-  const auto Golden = loadGolden();
+  const auto Golden = loadGolden(CODEREP_GOLDEN_DYNAMIC);
   ASSERT_FALSE(Golden.empty()) << "cannot read " << CODEREP_GOLDEN_DYNAMIC;
   size_t Probes = 0;
   for (uint64_t Seed = 1; Seed <= 20; ++Seed) {

@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Golden.h"
 #include "Suite.h"
 #include "cfg/FunctionPrinter.h"
 #include "driver/Compiler.h"
@@ -21,42 +22,13 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <map>
 #include <string>
 
 using namespace coderep;
 using namespace coderep::driver;
+using namespace coderep::golden;
 
 namespace {
-
-const target::TargetKind BothTargets[] = {target::TargetKind::M68,
-                                          target::TargetKind::Sparc};
-
-const char *targetName(target::TargetKind TK) {
-  return TK == target::TargetKind::M68 ? "M68" : "SPARC";
-}
-
-uint64_t fnv1a64(const std::string &S) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-/// Golden lines keyed by their config name (the text before the first
-/// space).
-std::map<std::string, std::string> loadGolden() {
-  std::map<std::string, std::string> Lines;
-  std::ifstream In(CODEREP_GOLDEN_DIGESTS);
-  std::string Line;
-  while (std::getline(In, Line))
-    if (!Line.empty() && Line[0] != '#')
-      Lines[Line.substr(0, Line.find(' '))] = Line;
-  return Lines;
-}
 
 /// "<config> digest=<hex> rtls=<n> jumps=<n>" for one compilation.
 std::string digestLine(const std::string &Config, const std::string &Source,
@@ -69,21 +41,8 @@ std::string digestLine(const std::string &Config, const std::string &Source,
                 C.Static.Instructions, C.Static.UncondJumps);
 }
 
-/// Compares one config against its golden line.
-void expectGolden(const std::map<std::string, std::string> &Golden,
-                  const std::string &Actual) {
-  std::string Config = Actual.substr(0, Actual.find(' '));
-  auto It = Golden.find(Config);
-  if (It == Golden.end()) {
-    ADD_FAILURE() << "no golden line for " << Config << "; actual:\n"
-                  << Actual;
-    return;
-  }
-  EXPECT_EQ(It->second, Actual) << "actual:\n" << Actual;
-}
-
 TEST(GoldenOutput, SuiteMatchesCommittedDigests) {
-  const auto Golden = loadGolden();
+  const auto Golden = loadGolden(CODEREP_GOLDEN_DIGESTS);
   ASSERT_FALSE(Golden.empty()) << "cannot read " << CODEREP_GOLDEN_DIGESTS;
   const opt::OptLevel Levels[] = {opt::OptLevel::Simple, opt::OptLevel::Loops,
                                   opt::OptLevel::Jumps};
@@ -100,7 +59,7 @@ TEST(GoldenOutput, SuiteMatchesCommittedDigests) {
 }
 
 TEST(GoldenOutput, RandomProgramsMatchCommittedDigests) {
-  const auto Golden = loadGolden();
+  const auto Golden = loadGolden(CODEREP_GOLDEN_DIGESTS);
   ASSERT_FALSE(Golden.empty()) << "cannot read " << CODEREP_GOLDEN_DIGESTS;
   for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
     std::string Source = verify::randomProgram(Seed);
@@ -116,7 +75,7 @@ TEST(GoldenOutput, RandomProgramsMatchCommittedDigests) {
 TEST(GoldenOutput, GoldenFileHasOneLinePerConfig) {
   // 84 suite configs plus 50 seeds x 2 targets; a stale extra line would
   // otherwise go unnoticed.
-  EXPECT_EQ(loadGolden().size(), 84u + 100u);
+  EXPECT_EQ(loadGolden(CODEREP_GOLDEN_DIGESTS).size(), 84u + 100u);
 }
 
 } // namespace

@@ -232,6 +232,21 @@ TEST(Interp, NullPageAccessTraps) {
   EXPECT_EQ(R.TrapKind, Trap::OutOfBounds);
 }
 
+TEST(Interp, OddAccessSizesAreCheckedAsWords) {
+  // Any access size but 1 moves a 4-byte word, so the bounds check must
+  // cover 4 bytes: a size-2 store at the last 2 bytes of memory traps
+  // instead of writing past the end.
+  for (bool IsStore : {true, false}) {
+    const Operand Last2 = Operand::mem(-1, 4094, 2);
+    Program P = makeProgram(
+        {IsStore ? Insn::move(Last2, Operand::imm(7)) : Insn::move(vr(0), Last2)});
+    RunOptions RO;
+    RO.MemBytes = 4096;
+    RunResult R = run(P, RO);
+    EXPECT_EQ(R.TrapKind, Trap::OutOfBounds) << (IsStore ? "store" : "load");
+  }
+}
+
 TEST(Interp, StepLimitTraps) {
   Program P;
   auto F = std::make_unique<Function>("main");
