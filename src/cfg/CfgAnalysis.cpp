@@ -116,19 +116,31 @@ Dominators::Dominators(const Function &F) : Dominators(F, FlatCfg(F)) {}
 
 Dominators::Dominators(const Function &, const FlatCfg &Flat) {
   Idom = computeIdom(Flat, reversePostorderFlat(Flat));
-}
 
-bool Dominators::dominates(int A, int B) const {
-  if (B != 0 && Idom[B] < 0)
-    return false; // B unreachable
-  while (true) {
-    if (A == B)
-      return true;
-    if (B == 0)
-      return false;
-    B = Idom[B];
-    if (B < 0)
-      return false;
+  // Number the dominator tree once so every query is an interval test:
+  // children as linked lists, then an iterative DFS from the entry.
+  const int N = Flat.size();
+  std::vector<int> FirstChild(N, -1), NextSibling(N, -1);
+  for (int B = 0; B < N; ++B)
+    if (Idom[B] >= 0) {
+      NextSibling[B] = FirstChild[Idom[B]];
+      FirstChild[Idom[B]] = B;
+    }
+  Pre.assign(N, -1);
+  Post.assign(N, -1);
+  int Clock = 0;
+  std::vector<std::pair<int, int>> Stack = {{0, FirstChild[0]}};
+  Pre[0] = Clock++;
+  while (!Stack.empty()) {
+    auto &[Node, Next] = Stack.back();
+    if (int C = Next; C >= 0) {
+      Next = NextSibling[C];
+      Pre[C] = Clock++;
+      Stack.push_back({C, FirstChild[C]});
+    } else {
+      Post[Node] = Clock++;
+      Stack.pop_back();
+    }
   }
 }
 
@@ -143,33 +155,17 @@ LoopInfo::LoopInfo(const Function &F, const FlatCfg &Flat)
 
 LoopInfo::LoopInfo(const Function &F, const FlatCfg &Flat,
                    const Dominators &Dom) {
-  // Reachability falls out of the dominator computation: every reachable
-  // block except the entry received an immediate dominator, and
-  // unreachable blocks received none.
-  std::vector<bool> Reachable(F.size(), false);
-  for (int B = 0; B < F.size(); ++B)
-    Reachable[B] = B == 0 || Dom.idom(B) >= 0;
-
-  auto dominates = [&](int A, int B) {
-    // B is known reachable here.
-    while (true) {
-      if (A == B)
-        return true;
-      if (B == 0)
-        return false;
-      B = Dom.idom(B);
-      if (B < 0)
-        return false;
-    }
-  };
+  // Reachability falls out of the dominator tree: the entry dominates
+  // exactly the reachable blocks.
+  auto reachable = [&](int B) { return Dom.dominates(0, B); };
 
   // Collect back edges grouped by header.
   std::vector<std::vector<int>> BackEdgeSources(F.size());
   for (int B = 0; B < F.size(); ++B) {
-    if (!Reachable[B])
+    if (!reachable(B))
       continue;
     for (int S : Flat.succs(B))
-      if (dominates(S, B))
+      if (Dom.dominates(S, B))
         BackEdgeSources[S].push_back(B);
   }
 
@@ -190,7 +186,7 @@ LoopInfo::LoopInfo(const Function &F, const FlatCfg &Flat,
       InBody[B] = true;
       Body.push_back(B);
       for (int P : Flat.preds(B))
-        if (Reachable[P])
+        if (reachable(P))
           Work.push_back(P);
     }
     std::sort(Body.begin(), Body.end());
@@ -220,40 +216,27 @@ const NaturalLoop *LoopInfo::innermostLoopContaining(int Index) const {
 }
 
 bool cfg::isReducible(const Function &F) {
+  FlatCfg Flat(F);
+  return isReducible(F, Flat, Dominators(F, Flat));
+}
+
+bool cfg::isReducible(const Function &F, const FlatCfg &Flat,
+                      const Dominators &Dom) {
   // Classic characterization (equivalent to collapsing with T1/T2): a flow
   // graph is reducible iff deleting every back edge - an edge u->h whose
   // target dominates its source - leaves an acyclic graph. The T1/T2
   // formulation collapses the same graphs; this one runs on flat arrays in
   // near-linear time, which matters because JUMPS step 6 calls it after
   // every attempted replication.
-  FlatCfg Flat(F);
-  std::vector<int> Rpo = reversePostorderFlat(Flat);
-  std::vector<int> Idom = computeIdom(Flat, Rpo);
-  std::vector<int> RpoNumber(F.size(), -1);
-  for (size_t I = 0; I < Rpo.size(); ++I)
-    RpoNumber[Rpo[I]] = static_cast<int>(I);
-
-  auto dominates = [&](int A, int B) {
-    if (B != 0 && Idom[B] < 0)
-      return false;
-    while (true) {
-      if (A == B)
-        return true;
-      if (B == 0)
-        return false;
-      B = Idom[B];
-      if (B < 0)
-        return false;
-    }
-  };
-
+  //
   // DFS cycle check over the forward (non-back) edges of the reachable
-  // subgraph, in RPO so most edges go forward immediately.
+  // subgraph. Whether a cycle exists does not depend on the root order,
+  // and the unreachable blocks are never entered.
   enum : uint8_t { White, Grey, Black };
   std::vector<uint8_t> Color(F.size(), White);
   std::vector<std::pair<int, int>> Stack;
-  for (int Root : Rpo) {
-    if (Color[Root] != White)
+  for (int Root = 0; Root < F.size(); ++Root) {
+    if (Color[Root] != White || !Dom.dominates(0, Root))
       continue;
     Stack.push_back({Root, 0});
     Color[Root] = Grey;
@@ -263,7 +246,7 @@ bool cfg::isReducible(const Function &F) {
       bool Descended = false;
       while (NextIdx < Succs.size()) {
         int S = Succs.begin()[NextIdx++];
-        if (S == Node || dominates(S, Node))
+        if (S == Node || Dom.dominates(S, Node))
           continue; // self-loop or natural back edge: deleted
         if (Color[S] == Grey)
           return false; // cycle without a dominating header

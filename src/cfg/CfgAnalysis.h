@@ -46,14 +46,22 @@ public:
   Dominators(const Function &F, const FlatCfg &Flat);
 
   /// True if block \p A dominates block \p B. Unreachable blocks dominate
-  /// nothing and are dominated by nothing.
-  bool dominates(int A, int B) const;
+  /// nothing and are dominated by nothing. O(1): an interval test on the
+  /// dominator tree's pre/post numbering.
+  bool dominates(int A, int B) const {
+    return Pre[A] >= 0 && Pre[B] >= 0 && Pre[A] <= Pre[B] &&
+           Post[B] <= Post[A];
+  }
 
   /// Immediate dominator of \p B, or -1 for the entry / unreachable blocks.
   int idom(int B) const { return Idom[B]; }
 
 private:
   std::vector<int> Idom;
+  /// Preorder / postorder numbers of each block in the dominator tree
+  /// (-1 for unreachable blocks): A dominates B iff B's interval nests in
+  /// A's.
+  std::vector<int> Pre, Post;
 };
 
 /// One natural loop: all blocks that can reach the back edge's source
@@ -96,6 +104,12 @@ private:
 /// merge) transformations, but runs in near-linear time. JUMPS step 6 rolls
 /// a replication back when this fails.
 bool isReducible(const Function &F);
+
+/// As above, but reuses a prebuilt CSR snapshot and dominator tree (JUMPS
+/// step 6 passes the ones step 5 just built through cfg::AnalysisCache).
+/// Both must describe \p F's current state.
+bool isReducible(const Function &F, const FlatCfg &Flat,
+                 const Dominators &Dom);
 
 } // namespace coderep::cfg
 

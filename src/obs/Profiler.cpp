@@ -77,9 +77,10 @@ std::string Profiler::collapsedStacks() const {
         Frame F = std::move(Stack.back());
         Stack.pop_back();
         int64_t Dur = O.TimeUs - F.BeginUs;
-        int64_t Self = Dur - F.ChildUs;
-        if (Self > 0)
-          SelfUs[F.Path] += Self;
+        // Every closed span gets a line, even with no self time (a leaf
+        // shorter than the clock's resolution): FlameGraph accepts a
+        // count of 0, and dropping it would hide the path below it.
+        SelfUs[F.Path] += std::max<int64_t>(Dur - F.ChildUs, 0);
         if (!Stack.empty())
           Stack.back().ChildUs += Dur;
       }

@@ -45,8 +45,9 @@ public:
   /// does not affect this profiler.
   explicit Profiler(const TraceSink &Sink);
 
-  /// FlameGraph collapsed-stack text: "track;a;b <self_us>" lines with
-  /// positive self time, aggregated per distinct stack and sorted
+  /// FlameGraph collapsed-stack text: one "track;a;b <self_us>" line per
+  /// closed span's stack (0 when it has no self time), aggregated per
+  /// distinct stack and sorted
   /// lexicographically (deterministic for a deterministic span tree).
   std::string collapsedStacks() const;
 

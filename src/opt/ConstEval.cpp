@@ -4,6 +4,8 @@
 
 #include "support/Check.h"
 
+#include <cstdint>
+
 using namespace coderep;
 using namespace coderep::opt;
 using namespace coderep::rtl;
@@ -22,14 +24,13 @@ bool opt::evalConstBinary(Opcode Op, int64_t A, int64_t B, int64_t &Result) {
     Result = static_cast<int64_t>(X) * Y;
     break;
   case Opcode::Div:
-    if (Y == 0)
-      return false;
-    Result = X / Y;
-    break;
   case Opcode::Rem:
-    if (Y == 0)
+    // Division by zero and INT32_MIN / -1 trap at run time (ease reports
+    // DivByZero / Overflow; the host would raise SIGFPE here): leave them
+    // unfolded so the program keeps its trap.
+    if (Y == 0 || (X == INT32_MIN && Y == -1))
       return false;
-    Result = X % Y;
+    Result = Op == Opcode::Div ? X / Y : X % Y;
     break;
   case Opcode::And:
     Result = X & Y;
@@ -58,7 +59,7 @@ bool opt::evalConstUnary(Opcode Op, int64_t A, int64_t &Result) {
   int32_t X = static_cast<int32_t>(A);
   switch (Op) {
   case Opcode::Neg:
-    Result = static_cast<int32_t>(-X);
+    Result = static_cast<int32_t>(-static_cast<int64_t>(X));
     return true;
   case Opcode::Not:
     Result = static_cast<int32_t>(~X);

@@ -8,6 +8,11 @@
 // replaced by replicated code (§3.3.2). Store-to-load forwarding is
 // included; any store or call invalidates unrelated memory values.
 //
+// The inheritance is scoped, not copied: one table is walked depth-first
+// over the extended-basic-block forest, and an undo log restores a block's
+// in-state before each of its siblings, so an n-deep chain costs O(n)
+// memory instead of n tables.
+//
 //===----------------------------------------------------------------------===//
 
 #include "opt/Pass.h"
@@ -17,7 +22,6 @@
 #include "support/Check.h"
 
 #include <array>
-#include <optional>
 #include <unordered_map>
 
 using namespace coderep;
@@ -42,16 +46,17 @@ struct ExprKeyHash {
   }
 };
 
-/// The value-numbering state at one program point.
+/// The value-numbering state at one program point, with an undo log.
 ///
 /// Registers are small dense integers and value numbers are allocated
 /// consecutively from 1, so every side table except the expression map is
 /// a flat vector indexed directly (-1 / false = absent); the expression
 /// map is a hash table. Every container is find-or-insert only - nothing
-/// here is ever iterated - so the layout cannot perturb decisions, and
-/// the extended-basic-block inheritance copy (one per single-pred block)
-/// is a handful of memcpys instead of a node-by-node tree clone. This
-/// table sits on the hottest path of the fixpoint loop.
+/// here is ever iterated - so the layout cannot perturb decisions. Every
+/// write records the slot's old contents, so undoTo(mark()) returns the
+/// table to exactly the state it had at the mark (the vectors may stay
+/// longer, padded with "absent"). This table sits on the hottest path of
+/// the fixpoint loop.
 struct ValueTable {
   std::vector<int> RegVN;    ///< register -> value number (-1 = none)
   std::unordered_map<ExprKey, int, ExprKeyHash>
@@ -61,6 +66,71 @@ struct ValueTable {
   std::vector<int> Holder;   ///< value number -> register holding it (-1)
   int MemEpoch = 0;
   int NextVN = 1;
+
+  /// One overwritten side-table slot: RegVN[Index], Holder[Index], or
+  /// HasConst/ConstVal[Index].
+  struct SlotUndo {
+    enum : uint8_t { Reg, Hold, Const } Kind;
+    uint8_t OldHasConst;
+    int Index;
+    int64_t Old;
+  };
+  /// One expression-map write; Old = 0 (no value number) if the key was
+  /// inserted rather than overwritten.
+  struct ExprUndo {
+    ExprKey Key;
+    int Old;
+  };
+  std::vector<SlotUndo> SlotLog;
+  std::vector<ExprUndo> ExprLog;
+
+  struct Mark {
+    size_t Slots, Exprs;
+    int MemEpoch, NextVN;
+  };
+  Mark mark() const {
+    return {SlotLog.size(), ExprLog.size(), MemEpoch, NextVN};
+  }
+
+  void undoTo(const Mark &M) {
+    while (SlotLog.size() > M.Slots) {
+      const SlotUndo &U = SlotLog.back();
+      switch (U.Kind) {
+      case SlotUndo::Reg:
+        RegVN[U.Index] = static_cast<int>(U.Old);
+        break;
+      case SlotUndo::Hold:
+        Holder[U.Index] = static_cast<int>(U.Old);
+        break;
+      case SlotUndo::Const:
+        HasConst[U.Index] = U.OldHasConst;
+        ConstVal[U.Index] = U.Old;
+        break;
+      }
+      SlotLog.pop_back();
+    }
+    while (ExprLog.size() > M.Exprs) {
+      const ExprUndo &U = ExprLog.back();
+      if (U.Old == 0)
+        ExprVN.erase(U.Key);
+      else
+        ExprVN[U.Key] = U.Old;
+      ExprLog.pop_back();
+    }
+    MemEpoch = M.MemEpoch;
+    NextVN = M.NextVN;
+  }
+
+  void writeReg(int R, int VN) {
+    ensure(RegVN, R);
+    SlotLog.push_back({SlotUndo::Reg, 0, R, RegVN[R]});
+    RegVN[R] = VN;
+  }
+  void writeHolder(int VN, int R) {
+    ensure(Holder, VN);
+    SlotLog.push_back({SlotUndo::Hold, 0, VN, Holder[VN]});
+    Holder[VN] = R;
+  }
 
   int freshVN() { return NextVN++; }
 
@@ -75,21 +145,29 @@ struct ValueTable {
   }
 
   int vnOfReg(int R) {
-    ensure(RegVN, R);
-    if (RegVN[R] >= 0)
-      return RegVN[R];
-    int VN = freshVN();
-    RegVN[R] = VN;
-    ensure(Holder, VN);
-    Holder[VN] = R;
+    int VN = lookupReg(R);
+    if (VN >= 0)
+      return VN;
+    VN = freshVN();
+    writeReg(R, VN);
+    writeHolder(VN, R);
     return VN;
   }
 
   int vnOfExpr(ExprKey Key) {
     auto [It, Inserted] = ExprVN.try_emplace(Key, NextVN);
-    if (Inserted)
+    if (Inserted) {
+      ExprLog.push_back({Key, 0});
       ++NextVN;
+    }
     return It->second;
+  }
+
+  /// Binds \p Key to \p VN, replacing any earlier binding.
+  void bindExpr(const ExprKey &Key, int VN) {
+    auto [It, Inserted] = ExprVN.try_emplace(Key, VN);
+    ExprLog.push_back({Key, Inserted ? 0 : It->second});
+    It->second = VN;
   }
 
   bool hasConst(int VN) const {
@@ -101,6 +179,7 @@ struct ValueTable {
       HasConst.resize(VN + 1, 0);
       ConstVal.resize(VN + 1, 0);
     }
+    SlotLog.push_back({SlotUndo::Const, HasConst[VN], VN, ConstVal[VN]});
     HasConst[VN] = 1;
     ConstVal[VN] = V;
   }
@@ -147,12 +226,9 @@ struct ValueTable {
   }
 
   void setReg(int R, int VN) {
-    ensure(RegVN, R);
-    RegVN[R] = VN;
-    if (validHolder(VN) < 0) {
-      ensure(Holder, VN);
-      Holder[VN] = R;
-    }
+    writeReg(R, VN);
+    if (validHolder(VN) < 0)
+      writeHolder(VN, R);
   }
 
   void killMemory() { ++MemEpoch; }
@@ -168,13 +244,15 @@ public:
       : F(F), T(T), Flat(Flat) {}
 
   bool run() {
+    const int N = F.size();
     std::vector<std::vector<int>> PredsOwned;
     if (!Flat)
       PredsOwned = F.predecessors();
-    std::vector<std::optional<ValueTable>> OutState(F.size());
-    bool Changed = false;
-    for (int B = 0; B < F.size(); ++B) {
-      ValueTable Table;
+    // The extended-basic-block forest: a block's parent is its sole
+    // predecessor when that comes earlier in the layout. Children are
+    // linked in ascending block order.
+    std::vector<int> Parent(N, -1), FirstChild(N, -1), NextSibling(N, -1);
+    for (int B = N - 1; B >= 0; --B) {
       int SolePred = -1;
       if (Flat) {
         cfg::FlatCfg::Range R = Flat->preds(B);
@@ -183,10 +261,41 @@ public:
       } else if (PredsOwned[B].size() == 1) {
         SolePred = PredsOwned[B][0];
       }
-      if (SolePred >= 0 && SolePred < B && OutState[SolePred])
-        Table = *OutState[SolePred]; // extended-basic-block inheritance
-      Changed |= processBlock(*F.block(B), Table);
-      OutState[B] = std::move(Table);
+      if (SolePred >= 0 && SolePred < B) {
+        Parent[B] = SolePred;
+        NextSibling[B] = FirstChild[SolePred];
+        FirstChild[SolePred] = B;
+      }
+    }
+
+    // Depth-first over each tree with an explicit stack: a block starts
+    // from exactly its parent's out-state, and leaving it undoes its
+    // writes. A root starts from (and returns to) the empty table.
+    ValueTable VT;
+    struct Frame {
+      int NextChild;
+      ValueTable::Mark Mark;
+    };
+    std::vector<Frame> Stack;
+    bool Changed = false;
+    auto enter = [&](int B) {
+      Stack.push_back({FirstChild[B], VT.mark()});
+      Changed |= processBlock(*F.block(B), VT);
+    };
+    for (int Root = 0; Root < N; ++Root) {
+      if (Parent[Root] >= 0)
+        continue;
+      enter(Root);
+      while (!Stack.empty()) {
+        Frame &Top = Stack.back();
+        if (int C = Top.NextChild; C >= 0) {
+          Top.NextChild = NextSibling[C];
+          enter(C);
+        } else {
+          VT.undoTo(Top.Mark);
+          Stack.pop_back();
+        }
+      }
     }
     return Changed;
   }
@@ -260,7 +369,7 @@ bool CsePass::processBlock(BasicBlock &B, ValueTable &VT) {
         // Store-to-load forwarding is value-preserving only for full
         // words: a byte store truncates and the later load sign-extends.
         if (I.Dst.Size == 4)
-          VT.ExprVN[VT.memKey(I.Dst, VT.MemEpoch)] = VN;
+          VT.bindExpr(VT.memKey(I.Dst, VT.MemEpoch), VN);
         break;
       }
       if (StackDef) {

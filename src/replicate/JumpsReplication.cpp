@@ -399,7 +399,14 @@ bool JumpsPass::tryJumpAt(int BIdx) {
       continue;
     }
     F.verify();
-    if (!isReducible(F)) {
+    // applyPlan's step-5 loop query built the FlatCfg and dominators for
+    // this state (unless a retarget moved the epoch since), so step 6
+    // reads them from the cache instead of rebuilding both. Shared
+    // handles: with the cache disabled, the second query replaces the
+    // first one's entry.
+    std::shared_ptr<const FlatCfg> Flat = AC.flatCfgShared();
+    std::shared_ptr<const Dominators> Dom = AC.dominatorsShared();
+    if (!isReducible(F, *Flat, *Dom)) {
       undo(U);
       ++S.RolledBackIrreducible;
       setFate(CI, obs::CandidateFate::RolledBackIrreducible);

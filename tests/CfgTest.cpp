@@ -1,6 +1,7 @@
 //===- CfgTest.cpp - CFG and analysis unit tests ----------------------------------===//
 
 #include "cfg/CfgAnalysis.h"
+#include "cfg/FlatCfg.h"
 #include "cfg/Function.h"
 
 #include <gtest/gtest.h>
@@ -226,6 +227,9 @@ TEST(Analysis, IrreducibleGraphDetected) {
   B3->Insns.push_back(Insn::ret());
   F->verify();
   EXPECT_FALSE(isReducible(*F));
+  // The overload on prebuilt analyses (JUMPS step 6's) agrees.
+  FlatCfg Flat(*F);
+  EXPECT_FALSE(isReducible(*F, Flat, Dominators(*F, Flat)));
 }
 
 TEST(Analysis, RtlCountIncludesDelaySlots) {

@@ -133,7 +133,7 @@ TEST(JournalTest, GoldenFigure1Compile) {
       "\"repl.loops_completed\": 0, \"repl.step5_retargets\": 0, "
       "\"repl.stub_jumps_added\": 0, \"fixpoint.rounds\": 3, "
       "\"fixpoint.passes_run\": 21, \"fixpoint.passes_skipped\": 9, "
-      "\"analysis.hits\": 23, \"analysis.recomputes\": 18, "
+      "\"analysis.hits\": 25, \"analysis.recomputes\": 18, "
       "\"analysis.invalidations\": 12, \"rtls_out\": 13}}\n");
 }
 

@@ -306,6 +306,40 @@ TEST_P(TargetedPassTest, CseExtendedBlockInheritance) {
   EXPECT_TRUE(B1->Insns[0].Src1.isReg());
 }
 
+TEST_P(TargetedPassTest, CseScopesInheritanceToOneArm) {
+  // A diamond: the then-arm (block 1) makes v1 the constant 7; the
+  // else-arm (block 2) also has block 0 as its sole predecessor, and the
+  // join (block 3) has two. Value numbering walks one table over the
+  // extended-block tree, so leaving block 1 must undo its facts: neither
+  // the sibling nor the join may treat v1 as 7.
+  Builder B;
+  int LElse = B.F->freshLabel(), LJoin = B.F->freshLabel();
+  BasicBlock *B0 = B.block();
+  B0->Insns = {Insn::move(vr(0), Operand::mem(RegFP, -4, 4)),
+               Insn::compare(vr(0), Operand::imm(0)),
+               Insn::condJump(CondCode::Lt, LElse)};
+  BasicBlock *B1 = B.block();
+  B1->Insns = {Insn::move(vr(1), Operand::imm(7)),
+               Insn::binary(Opcode::Add, vr(4), vr(1), Operand::imm(1)),
+               Insn::jump(LJoin)};
+  BasicBlock *B2 = B.block(LElse);
+  B2->Insns = {Insn::binary(Opcode::Add, vr(2), vr(1), Operand::imm(1))};
+  BasicBlock *B3 = B.block(LJoin);
+  B3->Insns = {Insn::binary(Opcode::Add, vr(3), vr(1), Operand::imm(2)),
+               Insn::ret()};
+  B.F->verify();
+
+  EXPECT_TRUE(runLocalCse(*B.F, *T));
+  // The then-arm itself folds v1 + 1.
+  EXPECT_EQ(B1->Insns[1].Op, Opcode::Move);
+  EXPECT_TRUE(B1->Insns[1].Src1.isImm());
+  EXPECT_EQ(B1->Insns[1].Src1.Disp, 8);
+  for (BasicBlock *Other : {B2, B3}) {
+    EXPECT_EQ(Other->Insns[0].Op, Opcode::Add);
+    EXPECT_TRUE(Other->Insns[0].Src1.isRegNo(FirstVirtual + 1));
+  }
+}
+
 TEST_P(TargetedPassTest, CseFoldsBranchOnPropagatedConstant) {
   Builder B;
   int LT = B.F->freshLabel();
